@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Protocol, Sequence, Union
 
 import numpy as np
 
@@ -58,21 +58,61 @@ _trials_count = _int_at_least(1, "trials")
 _days_count = _int_at_least(1, "days")
 
 
+# ---------------------------------------------------------------------------
+# Options: ``(flags, add_argument keywords)`` pairs.  An option several
+# commands share is built by one helper, so it is declared once.
+# ---------------------------------------------------------------------------
+
+_Option = tuple[tuple[str, ...], dict[str, Any]]
+
+
+def _option(*flags: str, **kwargs: Any) -> _Option:
+    return flags, kwargs
+
+
+_SEED = _option("--seed", type=_nonnegative_seed, default=1)
+_DURATION = _option("--duration", type=float, default=3600.0,
+                    help="simulated seconds")
+_JSON = _option("--json", action="store_true",
+                help="emit canonical JSON (CI diffs repeats)")
+
+
+def _racks(default: int, help: Optional[str] = None) -> _Option:
+    return _option("--racks", type=_racks_count, default=default, help=help)
+
+
+def _workers(sweep: str, default: Optional[int] = 1) -> _Option:
+    shown = "usable CPUs" if default is None else default
+    return _option("--workers", type=_workers_count, default=default,
+                   metavar="N",
+                   help=f"process-pool size for {sweep} (default {shown}; "
+                        "1 = serial, byte-identical output either way)")
+
+
+class _Verdict(Protocol):
+    """An experiment result that says whether the claim it tests held."""
+
+    @property
+    def ok(self) -> bool: ...
+
+
 @dataclass(frozen=True)
 class _Command:
     """One subcommand: handler, help text, and argument wiring.
 
-    ``seeded`` commands get the shared ``--seed`` option; commands with
-    a ``configure`` hook own their argument set entirely.  A ``config``
-    hook builds the command's experiment config from the parsed
-    arguments before the handler runs (as ``args.config``), so a value
-    the config rejects is a usage error with the config's message.
+    ``options`` are the command's own arguments, in order; a
+    ``configure`` hook lets a command own its parser entirely.  A
+    ``config`` hook builds the command's experiment config from the
+    parsed arguments before the handler runs (as ``args.config``), so a
+    value the config rejects is a usage error with the config's message.
+    A handler returns an exit code, or the result of an experiment that
+    checks a claim (exit 1 when the claim failed).
     """
 
-    func: Callable[[argparse.Namespace], int]
+    func: Callable[[argparse.Namespace], Union[int, _Verdict]]
     help: str
+    options: tuple[_Option, ...] = (_SEED,)
     configure: Optional[Callable[[argparse.ArgumentParser], None]] = None
-    seeded: bool = True
     config: Optional[Callable[[argparse.Namespace], object]] = None
 
 
@@ -198,17 +238,16 @@ def _faults_config(args: argparse.Namespace) -> object:
                                message_drop_prob=args.drop_prob)
 
 
-def _cmd_faults(args: argparse.Namespace) -> int:
+def _cmd_faults(args: argparse.Namespace) -> _Verdict:
     from repro.experiments.faults import (
         fault_injection_experiment,
         format_fault_report,
     )
+    # The claim: a faulted run never leaves the rack above its limit
+    # after enforcement.
     result = fault_injection_experiment(args.config, workers=args.workers)
     print(format_fault_report(result))
-    # Exit non-zero if the decentralization claim failed: a faulted run
-    # must never leave the rack above its limit after enforcement.
-    safe = result.faulted.peak_rack_power_fraction <= 1.0 + 1e-9
-    return 0 if safe else 1
+    return result
 
 
 def _recovery_config(args: argparse.Namespace) -> object:
@@ -216,42 +255,41 @@ def _recovery_config(args: argparse.Namespace) -> object:
     return RecoveryScenarioConfig(duration_s=args.duration, seed=args.seed)
 
 
-def _cmd_recovery(args: argparse.Namespace) -> int:
+def _cmd_recovery(args: argparse.Namespace) -> _Verdict:
     from repro.experiments.recovery import (
         format_recovery_report,
         recovery_experiment,
     )
+    # The claims: no rack above its limit after enforcement, and no
+    # restored sOA granting beyond its checkpointed budget assignment.
     result = recovery_experiment(args.config, workers=args.workers)
     print(format_recovery_report(result, as_json=args.json))
-    # Exit non-zero if a hard safety claim failed: rack above its limit
-    # after enforcement, or a restored sOA granting beyond its
-    # checkpointed budget assignment.
-    return 0 if result.safe else 1
+    return result
 
 
-def _cmd_oversub(args: argparse.Namespace) -> int:
+def _cmd_oversub(args: argparse.Namespace) -> _Verdict:
     from repro.experiments.oversubscription import (
         OversubScenarioConfig,
         format_oversub_report,
         oversubscription_experiment,
     )
+    # The claims: a monotone risk ladder, a conservative run inside the
+    # Table-1 envelope, and no rack above its physical limit after
+    # enforcement.
     config = OversubScenarioConfig(n_racks=args.racks, seed=args.seed)
     result = oversubscription_experiment(config, workers=args.workers)
     print(format_oversub_report(result, as_json=args.json))
-    # Exit non-zero if the oversubscription claims failed: a non-monotone
-    # risk ladder, a conservative run escaping the Table-1 envelope, or
-    # any rack left above its physical limit after enforcement.
-    return 0 if result.ok else 1
+    return result
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
+def _cmd_chaos(args: argparse.Namespace) -> _Verdict:
     from repro.experiments.chaos import chaos_sweep, format_chaos_report
+    # The claim: no invariant violation; the report names any offending
+    # seed for one-command deterministic replay.
     result = chaos_sweep(args.trials, seed=args.seed,
                          workers=args.workers)
     print(format_chaos_report(result, as_json=args.json))
-    # Exit non-zero on any invariant violation; the report names the
-    # offending seed(s) for one-command deterministic replay.
-    return 0 if result.ok else 1
+    return result
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -265,30 +303,58 @@ def _configure_lint(parser: argparse.ArgumentParser) -> None:
 
 
 _COMMANDS: dict[str, _Command] = {
-    "list": _Command(_cmd_list, "list available commands", seeded=False),
+    "list": _Command(_cmd_list, "list available commands", options=()),
     "fig1": _Command(_cmd_fig1, "weekday load patterns of Services A/B/C"),
     "fig2": _Command(_cmd_fig2, "SocialNet latency sweep (also covers fig3)"),
-    "fig5": _Command(_cmd_fig5, "rack power utilization CDFs"),
-    "fig7": _Command(_cmd_fig7, "CPU ageing under overclocking policies"),
-    "fig15": _Command(_cmd_fig15, "template prediction accuracy"),
-    "table1": _Command(_cmd_table1, "policy comparison across cluster classes"),
+    "fig5": _Command(_cmd_fig5, "rack power utilization CDFs",
+                     options=(_SEED, _racks(30))),
+    "fig7": _Command(_cmd_fig7, "CPU ageing under overclocking policies",
+                     options=(_SEED, _option("--days", type=_days_count,
+                                             default=5))),
+    "fig15": _Command(_cmd_fig15, "template prediction accuracy",
+                      options=(_SEED, _racks(30))),
+    "table1": _Command(
+        _cmd_table1, "policy comparison across cluster classes",
+        options=(
+            _SEED, _racks(4),
+            _option("--weeks", type=_weeks_count, default=2,
+                    help="trace length; >= 2 (week 1 is the history "
+                         "window)"),
+            _workers("the (rack, policy) sweep", default=None),
+            _option("--max-inflight", type=_inflight_count, default=None,
+                    metavar="M",
+                    help="in-flight job window (default 4x workers); "
+                         "bounds driver memory during fleet-scale sweeps"))),
     "cluster": _Command(_cmd_cluster, "the four-environment cluster study",
-                        config=_cluster_config),
+                        options=(_SEED, _DURATION), config=_cluster_config),
     "fig16": _Command(_cmd_fig16, "Service B utilization vs request rate"),
     "fig17": _Command(_cmd_fig17, "Service C 5-minute peak reduction"),
-    "faults": _Command(_cmd_faults,
-                       "fault-free vs faulted SmartOClock comparison",
-                       config=_faults_config),
-    "recovery": _Command(_cmd_recovery,
-                         "crash/recovery: naive vs SmartOClock uptime",
-                         config=_recovery_config),
-    "oversub": _Command(_cmd_oversub,
-                        "risk-ladder oversubscription ablation + "
-                        "mispredict stress"),
-    "chaos": _Command(_cmd_chaos,
-                      "seeded random fault sweep vs safety invariants"),
+    "faults": _Command(
+        _cmd_faults, "fault-free vs faulted SmartOClock comparison",
+        options=(_SEED, _DURATION,
+                 _option("--drop-prob", type=float, default=0.5,
+                         help="budget/profile message drop probability"),
+                 _workers("the matched pair")),
+        config=_faults_config),
+    "recovery": _Command(
+        _cmd_recovery, "crash/recovery: naive vs SmartOClock uptime",
+        options=(_SEED, _DURATION, _workers("the matched triple"), _JSON),
+        config=_recovery_config),
+    "oversub": _Command(
+        _cmd_oversub,
+        "risk-ladder oversubscription ablation + mispredict stress",
+        options=(_SEED,
+                 _racks(2, "high-power racks in the ablation fleet"),
+                 _workers("the ablation sweep and the stress runs"), _JSON)),
+    "chaos": _Command(
+        _cmd_chaos, "seeded random fault sweep vs safety invariants",
+        options=(_SEED,
+                 _option("--trials", type=_trials_count, default=20,
+                         help="independent trials at seeds "
+                              "seed..seed+N-1"),
+                 _workers("the trial sweep"), _JSON)),
     "lint": _Command(_cmd_lint, "run project-specific static analysis",
-                     configure=_configure_lint, seeded=False),
+                     options=(), configure=_configure_lint),
 }
 
 
@@ -303,64 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=command.func, usage_error=p.error)
         if command.configure is not None:
             command.configure(p)
-        if command.seeded:
-            p.add_argument("--seed", type=_nonnegative_seed, default=1)
-        if name in ("fig5", "fig15", "table1"):
-            p.add_argument("--racks", type=_racks_count,
-                           default=30 if name != "table1" else 4)
-        if name == "table1":
-            p.add_argument("--weeks", type=_weeks_count, default=2,
-                           help="trace length; >= 2 (week 1 is the "
-                                "history window)")
-            p.add_argument(
-                "--workers", type=_workers_count, default=None, metavar="N",
-                help="process-pool size for the (rack, policy) sweep "
-                     "(default: usable CPUs; 1 = serial, byte-identical "
-                     "output either way)")
-            p.add_argument(
-                "--max-inflight", type=_inflight_count, default=None,
-                metavar="M",
-                help="in-flight job window (default 4x workers); bounds "
-                     "driver memory during fleet-scale sweeps")
-        if name == "fig7":
-            p.add_argument("--days", type=_days_count, default=5)
-        if name == "cluster":
-            p.add_argument("--duration", type=float, default=3600.0)
-        if name == "faults":
-            p.add_argument("--duration", type=float, default=3600.0)
-            p.add_argument("--drop-prob", type=float, default=0.5,
-                           help="budget/profile message drop probability")
-            p.add_argument(
-                "--workers", type=_workers_count, default=1, metavar="N",
-                help="process-pool size for the matched pair (1 = "
-                     "serial, byte-identical output either way)")
-        if name == "recovery":
-            p.add_argument("--duration", type=float, default=3600.0)
-            p.add_argument(
-                "--workers", type=_workers_count, default=1, metavar="N",
-                help="process-pool size for the matched triple (1 = "
-                     "serial, byte-identical output either way)")
-            p.add_argument("--json", action="store_true",
-                           help="emit canonical JSON (CI diffs repeats)")
-        if name == "chaos":
-            p.add_argument("--trials", type=_trials_count, default=20,
-                           help="independent trials at seeds "
-                                "seed..seed+N-1")
-            p.add_argument(
-                "--workers", type=_workers_count, default=1, metavar="N",
-                help="process-pool size for the trial sweep (1 = "
-                     "serial, byte-identical output either way)")
-            p.add_argument("--json", action="store_true",
-                           help="emit canonical JSON (CI diffs repeats)")
-        if name == "oversub":
-            p.add_argument("--racks", type=_racks_count, default=2,
-                           help="high-power racks in the ablation fleet")
-            p.add_argument(
-                "--workers", type=_workers_count, default=1, metavar="N",
-                help="process-pool size for the ablation sweep (1 = "
-                     "serial, byte-identical output either way)")
-            p.add_argument("--json", action="store_true",
-                           help="emit canonical JSON (CI diffs repeats)")
+        for flags, kwargs in command.options:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -373,7 +383,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.config = build_config(args)
         except ValueError as exc:
             args.usage_error(str(exc))  # exits 2 with the usage line
-    return args.func(args)
+    outcome = args.func(args)
+    return outcome if isinstance(outcome, int) else int(not outcome.ok)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

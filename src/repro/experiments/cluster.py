@@ -21,8 +21,9 @@ mass are computed by bisection — no per-request sampling noise.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -56,6 +57,12 @@ __all__ = [
     "ClassMetrics",
     "EnvironmentResult",
     "run_environment",
+    "run_environment_job",
+    "run_variants",
+    "scenario_cluster",
+    "platform_config",
+    "require_finite_times",
+    "format_run_table",
     "cluster_experiment",
     "power_constrained_experiment",
     "overclock_constrained_experiment",
@@ -68,6 +75,15 @@ ENVIRONMENTS = ("Baseline", "ScaleOut", "ScaleUp", "SmartOClock")
 
 _RHO_CLAMP = 0.98
 _OVERLOAD_SLOPE = 40.0
+
+#: Period of the gOA budget cycles :func:`run_environment` forces, in
+#: simulated seconds.  The platform's own cadence
+#: (``SmartOClockConfig.budget_update_period_s``) is the paper's week, so
+#: inside an hours-long run it only ever sets its stamp at t = 0; the run
+#: loop compresses the weekly cycle to this period instead.  Folding the
+#: two cadences into one would move every cluster, faults, recovery and
+#: oversub result, so both stay (DESIGN.md, "Two budget cadences").
+GOA_CYCLE_S = 600.0
 
 
 @dataclass(frozen=True)
@@ -115,6 +131,7 @@ class ClusterConfig:
             raise ValueError("need at least one LC server")
         if sum(n for _, n in self.class_counts) != self.n_lc_servers:
             raise ValueError("class_counts must sum to n_lc_servers")
+        require_finite_times(self.duration_s, self.tick_s)
         if self.tick_s <= 0:
             raise ValueError(f"tick_s must be > 0: {self.tick_s}")
         if self.duration_s <= self.tick_s:
@@ -124,6 +141,53 @@ class ClusterConfig:
             raise ValueError(
                 f"wi_trigger must be 'metrics', 'schedule' or 'both', "
                 f"got {self.wi_trigger!r}")
+
+
+def require_finite_times(duration_s: float, tick_s: float) -> None:
+    """Reject a NaN or infinite run length or tick (every comparison with
+    NaN is false, so range checks alone would let one through)."""
+    if not (math.isfinite(duration_s) and math.isfinite(tick_s)):
+        raise ValueError(f"duration_s and tick_s must be finite: "
+                         f"{duration_s}, {tick_s}")
+
+
+class _MatchedScenario(Protocol):
+    """What a matched-scenario config fixes about its cluster."""
+
+    @property
+    def duration_s(self) -> float: ...
+    @property
+    def tick_s(self) -> float: ...
+    @property
+    def rack_limit_factor(self) -> float: ...
+    @property
+    def seed(self) -> int: ...
+
+
+def scenario_cluster(scenario: _MatchedScenario) -> ClusterConfig:
+    """The cluster every run of a matched scenario shares: the scenario's
+    length, tick, rack limit and seed, with the load peak in the middle
+    third (where the fault, crash and misprediction windows fall)."""
+    return ClusterConfig(
+        duration_s=scenario.duration_s,
+        tick_s=scenario.tick_s,
+        peak_start_s=scenario.duration_s / 3.0,
+        peak_duration_s=scenario.duration_s / 3.0,
+        rack_limit_factor=scenario.rack_limit_factor,
+        seed=scenario.seed)
+
+
+def platform_config(config: ClusterConfig,
+                    **overrides: Any) -> SmartOClockConfig:
+    """The SmartOClock platform config a cluster runs by default — its
+    tick as the control interval, its overclocking budget and scale-out
+    fallback — with ``overrides`` replacing any field."""
+    fields: dict[str, Any] = dict(
+        control_interval_s=config.tick_s,
+        oc_budget_fraction=config.oc_budget_fraction,
+        enable_proactive_scaleout=config.proactive_scaleout)
+    fields.update(overrides)
+    return SmartOClockConfig(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +371,44 @@ class EnvironmentResult:
         return float(np.mean([m.avg_instances
                               for m in self.per_class.values()]))
 
+    @property
+    def within_envelope(self) -> bool:
+        """Capping held the worst post-enforcement rack draw to its limit
+        (up to float rounding)."""
+        return self.peak_rack_power_fraction <= 1.0 + 1e-9
+
+    def metrics_row(self, totals: Sequence[str], *, per_class: bool = False,
+                    faults: bool = True) -> dict[str, float]:
+        """One flat row of this run's numbers, as the matched scenarios
+        report them: the named run ``totals``, then each load class's P99
+        and SLO-miss fraction (``per_class``), then the merged
+        fault/recovery counters (``faults``; a counter replaces a total of
+        the same name)."""
+        every = {
+            "cap_events": float(self.cap_events),
+            "grants": float(self.overclock_grants),
+            "rejections": float(self.overclock_rejections),
+            "scale_outs": float(self.scale_outs),
+            "missed_slo_ticks_fraction": self.missed_slo_ticks_fraction,
+            "peak_rack_power_fraction": self.peak_rack_power_fraction,
+            "total_energy_mj": self.total_energy_j / 1e6,
+            "server_crashes": float(self.server_crashes),
+            "server_downtime_s": self.server_downtime_s,
+            "server_uptime_fraction": self.server_uptime_fraction,
+            "vm_downtime_s": self.vm_downtime_s,
+            "wear_accrued_s": self.wear_accrued_s,
+            "restored_overgrants": float(self.restored_overgrants),
+        }
+        row = {key: every[key] for key in totals}
+        if per_class:
+            for cls, metrics in self.per_class.items():
+                row[f"p99_ms_{cls}"] = metrics.p99_ms
+                row[f"missed_slo_{cls}"] = metrics.missed_slo_fraction
+        if faults and self.faults is not None:
+            for key, value in self.faults.items():
+                row[key] = float(value)
+        return row
+
 
 def _build_services(config: ClusterConfig, lc_servers: list[Server],
                     rng: np.random.Generator) -> list[_Service]:
@@ -446,10 +548,7 @@ def run_environment(environment: str, config: ClusterConfig, *,
     managers: list[RackPowerManager] = []
     if environment == "SmartOClock":
         if soc_config is None:
-            soc_config = SmartOClockConfig(
-                control_interval_s=config.tick_s,
-                oc_budget_fraction=config.oc_budget_fraction,
-                enable_proactive_scaleout=config.proactive_scaleout)
+            soc_config = platform_config(config)
         platform = SmartOClockPlatform(
             datacenter, soc_config, fault_injector=injector,
             hazard_model=hazard_model,
@@ -559,9 +658,10 @@ def run_environment(environment: str, config: ClusterConfig, *,
         if platform is not None:
             platform.tick(now, config.tick_s)
             # Periodic gOA cycles (the weekly cadence compressed to the
-            # experiment's timescale) once enough telemetry exists.
+            # experiment's timescale, see GOA_CYCLE_S) once enough
+            # telemetry exists.
             if now >= config.peak_start_s / 2 and \
-                    now - last_budget_update >= 600.0:
+                    now - last_budget_update >= GOA_CYCLE_S:
                 platform.force_budget_update(now)
                 last_budget_update = now
         else:
@@ -689,6 +789,48 @@ def _sync_instances(service: _Service, active: int, pool: list[Server],
     service.deployment.scale_to(len(service.vms))
 
 
+# ---------------------------------------------------------------------------
+# Matched runs: the runner behind the faults, recovery and oversub scenarios
+# ---------------------------------------------------------------------------
+
+def run_environment_job(kwargs: dict[str, Any]) -> EnvironmentResult:
+    """Spawn-pool worker: one :func:`run_environment` call from its keyword
+    arguments.  Module-level so the pool pickles it by reference; every
+    argument is a frozen recipe, so a worker's run is byte-identical to
+    the same call in the driver."""
+    return run_environment(**kwargs)
+
+
+def run_variants(cluster: ClusterConfig, variants: Sequence[dict[str, Any]],
+                 *, workers: Optional[int] = 1) -> list[EnvironmentResult]:
+    """Run matched SmartOClock variants of one cluster, in variant order.
+
+    Each variant holds the rest of a :func:`run_environment` call's
+    keyword arguments (label, platform config, fault plan, hazard
+    model, ...).  The variants share nothing mutable, so they shard over
+    a spawn pool (``workers``) with a deterministic merge."""
+    from repro.experiments.parallel import run_jobs
+    return run_jobs(run_environment_job,
+                    [dict(variant, environment="SmartOClock", config=cluster)
+                     for variant in variants], workers=workers)
+
+
+def format_run_table(runs: Sequence[tuple[str, dict[str, float]]],
+                     width: int) -> str:
+    """Metric × run text table: one line per metric (sorted), one
+    ``width``-wide column per ``(heading, row)`` run, ``-`` where a run
+    lacks the metric.  Fixed precision, so repeated runs print the same."""
+    keys = sorted(set().union(*(row for _, row in runs)))
+    lines = [f"{'metric':<28}"
+             + "".join(f"{heading:>{width}}" for heading, _ in runs)]
+    for key in keys:
+        cells = ("-" if key not in row else f"{row[key]:.6g}"
+                 for _, row in runs)
+        lines.append(f"{key:<28}"
+                     + "".join(f"{cell:>{width}}" for cell in cells))
+    return "\n".join(lines)
+
+
 def cluster_experiment(config: Optional[ClusterConfig] = None
                        ) -> dict[str, EnvironmentResult]:
     """Figs. 12-14: all four environments on the same load trace."""
@@ -713,23 +855,17 @@ def power_constrained_experiment(
     base = config or ClusterConfig()
     constrained = dataclasses.replace(base,
                                       rack_limit_factor=rack_limit_factor)
-    naive_config = SmartOClockConfig(
-        control_interval_s=constrained.tick_s,
-        oc_budget_fraction=constrained.oc_budget_fraction,
-        enable_proactive_scaleout=False).as_naive()
+    naive_config = platform_config(
+        constrained, enable_proactive_scaleout=False).as_naive()
     naive = run_environment("SmartOClock", constrained,
                             soc_config=naive_config, label="NaiveOClock")
     # In a deliberately power-constrained rack the operator narrows the
     # safety margin (the default 5 % band would forbid overclocking at
     # peak altogether); the differentiator vs NaiveOClock is that the
     # admission control and warnings keep the rack cap-free.
-    smart_config = SmartOClockConfig(
-        control_interval_s=constrained.tick_s,
-        oc_budget_fraction=constrained.oc_budget_fraction,
-        enable_proactive_scaleout=constrained.proactive_scaleout,
-        warning_fraction=0.985)
-    smart = run_environment("SmartOClock", constrained,
-                            soc_config=smart_config)
+    smart = run_environment(
+        "SmartOClock", constrained,
+        soc_config=platform_config(constrained, warning_fraction=0.985))
     return {"NaiveOClock": naive, "SmartOClock": smart}
 
 

@@ -19,8 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.experiments.cluster import ClusterConfig, EnvironmentResult, run_environment
-from repro.experiments.parallel import run_jobs
+from repro.experiments.cluster import (
+    EnvironmentResult,
+    format_run_table,
+    require_finite_times,
+    run_variants,
+    scenario_cluster,
+)
 from repro.faults import (
     FaultPlan,
     GoaOutage,
@@ -58,23 +63,13 @@ class FaultScenarioConfig:
     misprediction_scale: float = 0.9
 
     def __post_init__(self) -> None:
+        require_finite_times(self.duration_s, self.tick_s)
         if self.duration_s < 6 * self.tick_s:
             raise ValueError("scenario too short to contain its phases")
         if not 0.0 <= self.message_drop_prob <= 1.0:
             raise ValueError(
                 f"message_drop_prob must be in [0, 1]: "
                 f"{self.message_drop_prob}")
-
-    def cluster_config(self) -> ClusterConfig:
-        """The matched cluster both runs share (peak in the middle
-        third, so the outage window overlaps the interesting part)."""
-        return ClusterConfig(
-            duration_s=self.duration_s,
-            tick_s=self.tick_s,
-            peak_start_s=self.duration_s / 3.0,
-            peak_duration_s=self.duration_s / 3.0,
-            rack_limit_factor=self.rack_limit_factor,
-            seed=self.seed)
 
     @property
     def outage_start_s(self) -> float:
@@ -100,6 +95,13 @@ def default_fault_plan(config: FaultScenarioConfig) -> FaultPlan:
     return faults
 
 
+#: The run totals the fault report lists beside each load class's latency
+#: and the fault counters.
+_TOTALS = ("cap_events", "grants", "rejections", "scale_outs",
+           "missed_slo_ticks_fraction", "peak_rack_power_fraction",
+           "total_energy_mj")
+
+
 @dataclass(frozen=True)
 class FaultExperimentResult:
     """Matched fault-free vs faulted SmartOClock runs."""
@@ -108,43 +110,18 @@ class FaultExperimentResult:
     faulted: EnvironmentResult
     plan: FaultPlan
 
+    @property
+    def ok(self) -> bool:
+        """The decentralization claim: under faults, the rack never stayed
+        above its limit after enforcement."""
+        return self.faulted.within_envelope
+
     def metrics(self) -> dict[str, dict[str, float]]:
         """Flat numeric summary (also the determinism fingerprint: two
         runs with the same config and seed must produce this exactly)."""
-        out: dict[str, dict[str, float]] = {}
-        for name, result in (("fault_free", self.fault_free),
-                             ("faulted", self.faulted)):
-            row: dict[str, float] = {
-                "cap_events": float(result.cap_events),
-                "grants": float(result.overclock_grants),
-                "rejections": float(result.overclock_rejections),
-                "scale_outs": float(result.scale_outs),
-                "missed_slo_ticks_fraction":
-                    result.missed_slo_ticks_fraction,
-                "peak_rack_power_fraction":
-                    result.peak_rack_power_fraction,
-                "total_energy_mj": result.total_energy_j / 1e6,
-            }
-            for cls, metrics in result.per_class.items():
-                row[f"p99_ms_{cls}"] = metrics.p99_ms
-                row[f"missed_slo_{cls}"] = metrics.missed_slo_fraction
-            if result.faults is not None:
-                for key, value in result.faults.items():
-                    row[key] = float(value)
-            out[name] = row
-        return out
-
-
-def _fault_job(payload: "tuple[FaultScenarioConfig, Optional[FaultPlan]]"
-               ) -> EnvironmentResult:
-    """Spawn-safe variant worker: fault-free (plan None) or faulted."""
-    config, plan = payload
-    cluster = config.cluster_config()
-    if plan is None:
-        return run_environment("SmartOClock", cluster,
-                               label="SmartOClock/fault-free")
-    return run_environment("SmartOClock", cluster, fault_plan=plan,
-                           label="SmartOClock/faulted")
+        return {"fault_free": self.fault_free.metrics_row(
+                    _TOTALS, per_class=True),
+                "faulted": self.faulted.metrics_row(_TOTALS, per_class=True)}
 
 
 def fault_injection_experiment(
@@ -157,8 +134,10 @@ def fault_injection_experiment(
     see the identical plan object state."""
     config = config or FaultScenarioConfig()
     plan = plan if plan is not None else default_fault_plan(config)
-    fault_free, faulted = run_jobs(
-        _fault_job, [(config, None), (config, plan)], workers=workers)
+    fault_free, faulted = run_variants(scenario_cluster(config), [
+        dict(label="SmartOClock/fault-free"),
+        dict(fault_plan=plan, label="SmartOClock/faulted"),
+    ], workers=workers)
     return FaultExperimentResult(fault_free=fault_free, faulted=faulted,
                                  plan=plan)
 
@@ -166,18 +145,8 @@ def fault_injection_experiment(
 def format_fault_report(result: FaultExperimentResult) -> str:
     """Fixed-precision text report (stable across repeated runs)."""
     metrics = result.metrics()
-    rows = sorted(set(metrics["fault_free"]) | set(metrics["faulted"]))
-    lines = [f"{'metric':<28}{'fault-free':>14}{'faulted':>14}"]
-    for key in rows:
-        cells = []
-        for name in ("fault_free", "faulted"):
-            value = metrics[name].get(key)
-            cells.append("-" if value is None else f"{value:.6g}")
-        lines.append(f"{key:<28}{cells[0]:>14}{cells[1]:>14}")
-    faulted = result.faulted
-    safe = faulted.peak_rack_power_fraction <= 1.0 + 1e-9
-    lines.append(
-        "degradation: "
-        + ("graceful (rack stayed within the capping envelope)" if safe
-           else "UNSAFE (post-enforcement draw exceeded the rack limit)"))
-    return "\n".join(lines)
+    table = format_run_table([("fault-free", metrics["fault_free"]),
+                              ("faulted", metrics["faulted"])], width=14)
+    return table + "\ndegradation: " + (
+        "graceful (rack stayed within the capping envelope)" if result.ok
+        else "UNSAFE (post-enforcement draw exceeded the rack limit)")

@@ -42,17 +42,18 @@ materialize the fleet at all: the driver ships ~100-byte
 :class:`~repro.experiments.parallel.RackSpec` recipes, workers
 regenerate each rack's trace from its spawned seed stream, and
 per-rack results fold into running :class:`PolicyAccumulator` totals in
-submission-slot order.  The online merge performs the same left-fold as
-:func:`_aggregate_scores`, so the scores are byte-identical to
-materializing everything serially — at any worker count.
+submission-slot order.  The materialized drivers feed their racks to the
+same fold (:func:`_fold_fleets`), so the two paths score byte-identically
+— at any worker count.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -66,6 +67,9 @@ from repro.core.policies import (
 )
 from repro.traces.schema import RackTrace
 from repro.traces.synthetic import FleetConfig, SyntheticFleet, generate_fleet
+
+if TYPE_CHECKING:
+    from repro.experiments.parallel import RackSource
 
 __all__ = [
     "RackFrame",
@@ -779,18 +783,35 @@ def _finalize_scores(accs: dict[str, PolicyAccumulator]
     return {name: acc.score(central_caps) for name, acc in accs.items()}
 
 
-def _aggregate_scores(
-        raw: dict[str, list[RackSimResult]]) -> dict[str, PolicyScore]:
-    """Fold per-rack results (in rack order) into Table-I rows.  Both the
-    serial and the process-pool sweeps feed this with identically-ordered
-    lists, which keeps the float sums — and hence the output — byte-
-    identical across ``workers`` settings."""
-    accs: dict[str, PolicyAccumulator] = {}
-    for name, results in raw.items():
-        acc = accs[name] = PolicyAccumulator(policy=name)
-        for result in results:
-            acc.add(result)
-    return _finalize_scores(accs)
+def _fold_fleets(sizes: dict[str, int], racks: "Iterable[RackSource]",
+                 policy_names: Sequence[str], *, power_model: PowerModel,
+                 workers: Optional[int], fast: bool,
+                 max_inflight: Optional[int] = None
+                 ) -> dict[str, dict[str, PolicyScore]]:
+    """Score every policy on every fleet: the one fold behind the Table-I
+    drivers, materialized or streaming.
+
+    ``racks`` holds the fleets' racks back to back, in ``sizes`` order
+    (fleet name → rack count), as traces or specs.  Results arrive in
+    submission-slot order, so each accumulator folds its racks in rack
+    order: the scores are byte-identical at any worker count, and the
+    driver never holds more than the in-flight window of results."""
+    from repro.experiments.parallel import iter_rack_policy_results
+    names = tuple(policy_names)
+    order = list(sizes)
+    bounds = list(itertools.accumulate(sizes.values()))
+    accs = {fleet: {p: PolicyAccumulator(policy=p) for p in names}
+            for fleet in order}
+    fleet_idx = 0
+    for rack_slot, policy, result in iter_rack_policy_results(
+            racks, names, power_model=power_model, workers=workers,
+            fast=fast, max_inflight=max_inflight):
+        # Results arrive slot-ordered, so the owning fleet only ever
+        # advances — no per-result search needed.
+        while rack_slot >= bounds[fleet_idx]:
+            fleet_idx += 1
+        accs[order[fleet_idx]][policy].add(result)
+    return {fleet: _finalize_scores(accs[fleet]) for fleet in order}
 
 
 def compare_policies(fleet: SyntheticFleet,
@@ -803,16 +824,9 @@ def compare_policies(fleet: SyntheticFleet,
     ``workers=1`` runs serially in-process; ``workers=N`` (or None →
     ``os.cpu_count()``) fans the (rack, policy) grid over a process pool
     with byte-identical output (see :mod:`repro.experiments.parallel`)."""
-    from repro.experiments.parallel import run_rack_policy_jobs
-    names = tuple(policy_names)
-    per_rack = run_rack_policy_jobs(fleet.racks, names,
-                                    power_model=power_model,
-                                    workers=workers, fast=fast)
-    raw: dict[str, list[RackSimResult]] = {name: [] for name in names}
-    for rack_results in per_rack:
-        for name in names:
-            raw[name].append(rack_results[name])
-    return _aggregate_scores(raw)
+    return _fold_fleets({"": len(fleet.racks)}, fleet.racks, policy_names,
+                        power_model=power_model, workers=workers,
+                        fast=fast)[""]
 
 
 def compare_policies_streaming(
@@ -829,19 +843,12 @@ def compare_policies_streaming(
     ``compare_policies(generate_fleet(config), ...)`` at any worker
     count, with driver memory bounded by the in-flight window instead of
     the fleet size."""
-    from repro.experiments.parallel import (
-        RackSpec,
-        iter_rack_policy_results,
-    )
-    names = tuple(policy_names)
+    from repro.experiments.parallel import RackSpec
     specs = (RackSpec(config=config, rack_index=r)
              for r in range(config.n_racks))
-    accs = {name: PolicyAccumulator(policy=name) for name in names}
-    for _rack_slot, name, result in iter_rack_policy_results(
-            specs, names, power_model=power_model, workers=workers,
-            fast=fast, max_inflight=max_inflight):
-        accs[name].add(result)
-    return _finalize_scores(accs)
+    return _fold_fleets({"": config.n_racks}, specs, policy_names,
+                        power_model=power_model, workers=workers,
+                        fast=fast, max_inflight=max_inflight)[""]
 
 
 #: Table I's cluster classes: per-rack target P99 utilization ranges.
@@ -886,22 +893,11 @@ def table1(fleets: dict[str, SyntheticFleet], *,
     With ``workers`` > 1 the whole (fleet, rack, policy) grid shares one
     process pool; per-fleet aggregation runs in the same order as the
     serial path, so output is byte-identical to ``workers=1``."""
-    from repro.experiments.parallel import run_rack_policy_jobs
-    racks = [rack for fleet in fleets.values() for rack in fleet.racks]
-    per_rack = run_rack_policy_jobs(racks, TABLE1_POLICIES,
-                                    power_model=power_model,
-                                    workers=workers, fast=fast)
-    results: dict[str, dict[str, PolicyScore]] = {}
-    offset = 0
-    for name, fleet in fleets.items():
-        raw: dict[str, list[RackSimResult]] = {
-            p: [] for p in TABLE1_POLICIES}
-        for r in range(len(fleet.racks)):
-            for p in TABLE1_POLICIES:
-                raw[p].append(per_rack[offset + r][p])
-        offset += len(fleet.racks)
-        results[name] = _aggregate_scores(raw)
-    return results
+    racks = (rack for fleet in fleets.values() for rack in fleet.racks)
+    return _fold_fleets({name: len(fleet.racks)
+                         for name, fleet in fleets.items()},
+                        racks, TABLE1_POLICIES, power_model=power_model,
+                        workers=workers, fast=fast)
 
 
 def table1_streaming(configs: dict[str, FleetConfig], *,
@@ -913,36 +909,17 @@ def table1_streaming(configs: dict[str, FleetConfig], *,
 
     The whole (fleet, rack, policy) grid streams through one process
     pool as :class:`~repro.experiments.parallel.RackSpec` jobs; results
-    arrive in submission order, so per-fleet accumulators fold in
-    exactly the order :func:`table1` aggregates its materialized lists —
+    fold in the order :func:`table1` folds its materialized racks, so
     the scores are byte-identical to ``table1(cluster fleets)`` at any
     worker count, with driver memory bounded by the in-flight window."""
-    from repro.experiments.parallel import (
-        RackSpec,
-        iter_rack_policy_results,
-    )
-    order = list(configs)
-    # Fleet boundaries in the flattened rack-slot space.
-    bounds: list[int] = []
-    total = 0
-    for name in order:
-        total += configs[name].n_racks
-        bounds.append(total)
-    specs = (RackSpec(config=configs[name], rack_index=r)
-             for name in order
-             for r in range(configs[name].n_racks))
-    accs = {name: {p: PolicyAccumulator(policy=p) for p in TABLE1_POLICIES}
-            for name in order}
-    fleet_idx = 0
-    for rack_slot, policy, result in iter_rack_policy_results(
-            specs, TABLE1_POLICIES, power_model=power_model,
-            workers=workers, fast=fast, max_inflight=max_inflight):
-        # Results arrive slot-ordered, so the owning fleet only ever
-        # advances — no per-result search needed.
-        while rack_slot >= bounds[fleet_idx]:
-            fleet_idx += 1
-        accs[order[fleet_idx]][policy].add(result)
-    return {name: _finalize_scores(accs[name]) for name in order}
+    from repro.experiments.parallel import RackSpec
+    specs = (RackSpec(config=config, rack_index=r)
+             for config in configs.values()
+             for r in range(config.n_racks))
+    return _fold_fleets({name: config.n_racks
+                         for name, config in configs.items()},
+                        specs, TABLE1_POLICIES, power_model=power_model,
+                        workers=workers, fast=fast, max_inflight=max_inflight)
 
 
 def format_table1(results: dict[str, dict[str, PolicyScore]]) -> str:

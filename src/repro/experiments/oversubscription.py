@@ -31,18 +31,17 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.config import SmartOClockConfig
 from repro.core.oversubscription import RISK_ORDER
 from repro.experiments.cluster import (
-    ClusterConfig,
     EnvironmentResult,
-    run_environment,
+    platform_config,
+    run_variants,
+    scenario_cluster,
 )
 from repro.experiments.largescale import (
     PolicyScore,
     compare_policies_streaming,
 )
-from repro.experiments.parallel import run_jobs
 from repro.faults import FaultPlan, MispredictionFault
 from repro.faults.spec import FaultWindow
 from repro.traces.synthetic import FleetConfig
@@ -112,21 +111,16 @@ class OversubScenarioConfig:
             p99_util_range=self.p99_util_range,
             region="osub-high")
 
-    def cluster_config(self) -> ClusterConfig:
-        """The matched cluster all stress runs share (peak in the middle
-        third, so the misprediction window overlaps it)."""
-        return ClusterConfig(
-            duration_s=self.duration_s,
-            tick_s=self.tick_s,
-            peak_start_s=self.duration_s / 3.0,
-            peak_duration_s=self.duration_s / 3.0,
-            rack_limit_factor=self.rack_limit_factor,
-            seed=self.seed)
-
     def fault_plan(self) -> FaultPlan:
         return FaultPlan(mispredictions=(MispredictionFault(
             FaultWindow(self.duration_s / 3.0, self.duration_s),
             scale=self.misprediction_scale),))
+
+
+#: The run totals each stress run reports.
+_STRESS_TOTALS = ("cap_events", "grants", "rejections",
+                  "missed_slo_ticks_fraction", "peak_rack_power_fraction",
+                  "total_energy_mj")
 
 
 @dataclass(frozen=True)
@@ -177,8 +171,7 @@ class OversubStressResult:
     def safe(self) -> bool:
         """Capping must absorb every oversubscription mistake: no run
         may leave its rack above the physical limit post-enforcement."""
-        return all(r.peak_rack_power_fraction <= 1.0 + 1e-9
-                   for _, r in self.runs)
+        return all(r.within_envelope for _, r in self.runs)
 
     @property
     def envelope_ok(self) -> bool:
@@ -214,18 +207,8 @@ class OversubExperimentResult:
                 "osub_admitted_watts": score.osub_admitted_watts,
                 "normalized_performance": score.normalized_performance,
             }
-        stress: dict[str, dict[str, float]] = {}
-        for name, result in self.stress.runs:
-            stress[name] = {
-                "cap_events": float(result.cap_events),
-                "grants": float(result.overclock_grants),
-                "rejections": float(result.overclock_rejections),
-                "missed_slo_ticks_fraction":
-                    result.missed_slo_ticks_fraction,
-                "peak_rack_power_fraction":
-                    result.peak_rack_power_fraction,
-                "total_energy_mj": result.total_energy_j / 1e6,
-            }
+        stress = {name: result.metrics_row(_STRESS_TOTALS, faults=False)
+                  for name, result in self.stress.runs}
         verdicts = {
             "monotone": float(self.ablation.monotone),
             "ablation_envelope_ok": float(self.ablation.envelope_ok),
@@ -247,50 +230,23 @@ def oversubscription_ablation(
     return OversubAblationResult(scores=scores)
 
 
-def _stress_job(
-        payload: "tuple[str, OversubScenarioConfig]") -> EnvironmentResult:
-    """Spawn-safe variant worker: one matched stress run per payload."""
-    variant, config = payload
-    cluster = config.cluster_config()
-    base_config = SmartOClockConfig(
-        control_interval_s=cluster.tick_s,
-        oc_budget_fraction=cluster.oc_budget_fraction,
-        enable_proactive_scaleout=cluster.proactive_scaleout)
-    if variant == "smart":
-        return run_environment("SmartOClock", cluster,
-                               soc_config=base_config,
-                               label="SmartOClock/base")
-    if variant == "naive":
-        return run_environment("SmartOClock", cluster,
-                               soc_config=base_config.as_naive(),
-                               label="NaiveOClock")
-    osub_config = base_config.with_oversubscription(
-        config.stress_risk_level)
-    if variant == "osub":
-        return run_environment("SmartOClock", cluster,
-                               soc_config=osub_config,
-                               label="SmartOClock+OSub/fault-free")
-    return run_environment(
-        "SmartOClock", cluster, soc_config=osub_config,
-        fault_plan=config.fault_plan(),
-        label="SmartOClock+OSub/mispredict")
-
-
 def mispredict_stress(
         config: Optional[OversubScenarioConfig] = None, *,
         workers: Optional[int] = 1) -> OversubStressResult:
-    """Run the matched platform quadruple under one seed.
-
-    The four variants derive everything from the frozen scenario config,
-    so they shard over a spawn pool with a deterministic merge."""
+    """Run the matched platform quadruple under one seed (sharded over a
+    spawn pool with ``workers`` > 1, byte-identical either way)."""
     config = config or OversubScenarioConfig()
-    smart, naive, osub, osub_faulted = run_jobs(
-        _stress_job,
-        [("smart", config), ("naive", config), ("osub", config),
-         ("osub_faulted", config)],
-        workers=workers)
-    return OversubStressResult(smart=smart, naive=naive, osub=osub,
-                               osub_faulted=osub_faulted)
+    cluster = scenario_cluster(config)
+    base = platform_config(cluster)
+    osub = base.with_oversubscription(config.stress_risk_level)
+    runs = run_variants(cluster, [
+        dict(soc_config=base, label="SmartOClock/base"),
+        dict(soc_config=base.as_naive(), label="NaiveOClock"),
+        dict(soc_config=osub, label="SmartOClock+OSub/fault-free"),
+        dict(soc_config=osub, fault_plan=config.fault_plan(),
+             label="SmartOClock+OSub/mispredict"),
+    ], workers=workers)
+    return OversubStressResult(*runs)
 
 
 def oversubscription_experiment(

@@ -33,13 +33,14 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.config import SmartOClockConfig
 from repro.experiments.cluster import (
-    ClusterConfig,
     EnvironmentResult,
-    run_environment,
+    format_run_table,
+    platform_config,
+    require_finite_times,
+    run_variants,
+    scenario_cluster,
 )
-from repro.experiments.parallel import run_jobs
 from repro.faults.spec import FaultPlan, SoaRestart
 from repro.reliability.hazard import HazardModel
 
@@ -73,6 +74,7 @@ class RecoveryScenarioConfig:
     soa_restart_at_fraction: float = 0.5
 
     def __post_init__(self) -> None:
+        require_finite_times(self.duration_s, self.tick_s)
         if self.duration_s < 6 * self.tick_s:
             raise ValueError("scenario too short to contain its phases")
         if self.base_failures_per_year <= 0:
@@ -84,17 +86,6 @@ class RecoveryScenarioConfig:
                 f"soa_restart_at_fraction must be in (0, 1): "
                 f"{self.soa_restart_at_fraction}")
 
-    def cluster_config(self) -> ClusterConfig:
-        """The matched cluster all three runs share (peak in the middle
-        third, where overclocking — and therefore hazard — concentrates)."""
-        return ClusterConfig(
-            duration_s=self.duration_s,
-            tick_s=self.tick_s,
-            peak_start_s=self.duration_s / 3.0,
-            peak_duration_s=self.duration_s / 3.0,
-            rack_limit_factor=self.rack_limit_factor,
-            seed=self.seed)
-
     def hazard_model(self) -> HazardModel:
         return HazardModel(
             base_failures_per_year=self.base_failures_per_year,
@@ -104,6 +95,13 @@ class RecoveryScenarioConfig:
     @property
     def soa_restart_at_s(self) -> float:
         return self.duration_s * self.soa_restart_at_fraction
+
+
+#: The run totals the recovery report lists beside the fault counters.
+_TOTALS = ("server_crashes", "server_downtime_s", "server_uptime_fraction",
+           "vm_downtime_s", "wear_accrued_s", "restored_overgrants",
+           "cap_events", "grants", "rejections", "missed_slo_ticks_fraction",
+           "peak_rack_power_fraction", "total_energy_mj")
 
 
 @dataclass(frozen=True)
@@ -120,91 +118,39 @@ class RecoveryExperimentResult:
                 ("smart_restored", self.smart_restored))
 
     @property
-    def safe(self) -> bool:
+    def ok(self) -> bool:
         """The run's two hard safety claims: capping held every rack
         inside its envelope, and no restored sOA re-derived a budget
         beyond its checkpointed assignment."""
-        return all(
-            r.peak_rack_power_fraction <= 1.0 + 1e-9
-            and r.restored_overgrants == 0
-            for _, r in self.runs)
+        return all(r.within_envelope and r.restored_overgrants == 0
+                   for _, r in self.runs)
 
     def metrics(self) -> dict[str, dict[str, float]]:
         """Flat numeric summary (also the determinism fingerprint: two
         runs with the same config and seed must produce this exactly)."""
-        out: dict[str, dict[str, float]] = {}
-        for name, result in self.runs:
-            row: dict[str, float] = {
-                "server_crashes": float(result.server_crashes),
-                "server_downtime_s": result.server_downtime_s,
-                "server_uptime_fraction": result.server_uptime_fraction,
-                "vm_downtime_s": result.vm_downtime_s,
-                "wear_accrued_s": result.wear_accrued_s,
-                "restored_overgrants": float(result.restored_overgrants),
-                "cap_events": float(result.cap_events),
-                "grants": float(result.overclock_grants),
-                "rejections": float(result.overclock_rejections),
-                "missed_slo_ticks_fraction":
-                    result.missed_slo_ticks_fraction,
-                "peak_rack_power_fraction":
-                    result.peak_rack_power_fraction,
-                "total_energy_mj": result.total_energy_j / 1e6,
-            }
-            if result.faults is not None:
-                for key, value in result.faults.items():
-                    row[key] = float(value)
-            out[name] = row
-        return out
-
-
-def _recovery_job(
-        payload: "tuple[str, RecoveryScenarioConfig]") -> EnvironmentResult:
-    """Spawn-safe variant worker: one matched run per payload.
-
-    The cluster config and hazard model are frozen, stateless recipes,
-    so rebuilding them per worker is byte-identical to sharing one
-    instance across the three runs.
-    """
-    variant, config = payload
-    cluster = config.cluster_config()
-    hazard = config.hazard_model()
-    if variant == "naive":
-        naive_config = SmartOClockConfig(
-            control_interval_s=cluster.tick_s,
-            oc_budget_fraction=cluster.oc_budget_fraction,
-            enable_proactive_scaleout=False).as_naive()
-        return run_environment(
-            "SmartOClock", cluster, soc_config=naive_config,
-            hazard_model=hazard, fault_seed=config.seed,
-            label="NaiveOClock")
-    if variant == "smart":
-        return run_environment(
-            "SmartOClock", cluster, hazard_model=hazard,
-            fault_seed=config.seed)
-    restart_plan = FaultPlan(
-        soa_restarts=(SoaRestart(at_s=config.soa_restart_at_s),))
-    return run_environment(
-        "SmartOClock", cluster, hazard_model=hazard,
-        fault_plan=restart_plan, fault_seed=config.seed,
-        label="SmartOClock/restored")
+        return {name: result.metrics_row(_TOTALS)
+                for name, result in self.runs}
 
 
 def recovery_experiment(
         config: Optional[RecoveryScenarioConfig] = None, *,
         workers: Optional[int] = 1
 ) -> RecoveryExperimentResult:
-    """Run the matched triple under one crash seed.
-
-    The three variants share nothing mutable, so they shard over a
-    spawn pool (``workers``) with a deterministic merge.
-    """
+    """Run the matched triple under one crash seed (sharded over a
+    spawn pool with ``workers`` > 1, byte-identical either way)."""
     config = config or RecoveryScenarioConfig()
-    naive, smart, smart_restored = run_jobs(
-        _recovery_job,
-        [("naive", config), ("smart", config), ("smart_restored", config)],
-        workers=workers)
-    return RecoveryExperimentResult(
-        naive=naive, smart=smart, smart_restored=smart_restored)
+    cluster = scenario_cluster(config)
+    crashes = dict(hazard_model=config.hazard_model(),
+                   fault_seed=config.seed)
+    naive = platform_config(cluster, enable_proactive_scaleout=False)
+    restart = SoaRestart(at_s=config.soa_restart_at_s)
+    runs = run_variants(cluster, [
+        dict(crashes, soc_config=naive.as_naive(), label="NaiveOClock"),
+        crashes,
+        dict(crashes, fault_plan=FaultPlan(soa_restarts=(restart,)),
+             label="SmartOClock/restored"),
+    ], workers=workers)
+    return RecoveryExperimentResult(*runs)
 
 
 def format_recovery_report(result: RecoveryExperimentResult,
@@ -215,20 +161,9 @@ def format_recovery_report(result: RecoveryExperimentResult,
     metrics = result.metrics()
     if as_json:
         return json.dumps(metrics, sort_keys=True, indent=2)
-    names = [name for name, _ in result.runs]
-    keys = sorted(set().union(*(metrics[n] for n in names)))
-    header = f"{'metric':<28}" + "".join(f"{n:>16}" for n in names)
-    lines = [header]
-    for key in keys:
-        cells = []
-        for name in names:
-            value = metrics[name].get(key)
-            cells.append("-" if value is None else f"{value:.6g}")
-        lines.append(f"{key:<28}" + "".join(f"{c:>16}" for c in cells))
-    lines.append(
-        "safety: "
-        + ("ok (racks inside the capping envelope, no restored sOA "
-           "over-granted)" if result.safe
-           else "VIOLATED (rack escaped its envelope or a restored sOA "
-           "granted beyond its checkpointed budget)"))
-    return "\n".join(lines)
+    table = format_run_table(list(metrics.items()), width=16)
+    return table + "\nsafety: " + (
+        "ok (racks inside the capping envelope, no restored sOA "
+        "over-granted)" if result.ok
+        else "VIOLATED (rack escaped its envelope or a restored sOA "
+        "granted beyond its checkpointed budget)")

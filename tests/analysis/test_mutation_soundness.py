@@ -15,6 +15,7 @@ from repro.analysis import lint_source, load_config
 REPO = Path(__file__).parents[2]
 POLICIES = REPO / "src" / "repro" / "core" / "policies.py"
 PARALLEL = REPO / "src" / "repro" / "experiments" / "parallel.py"
+CLUSTER = REPO / "src" / "repro" / "experiments" / "cluster.py"
 CONFIG = load_config(REPO / "pyproject.toml")
 
 
@@ -38,6 +39,9 @@ class TestUnmutatedFilesAreClean:
 
     def test_parallel_clean(self):
         assert lint_text(PARALLEL.read_text(), PARALLEL) == []
+
+    def test_cluster_clean(self):
+        assert lint_text(CLUSTER.read_text(), CLUSTER) == []
 
 
 class TestDroppedWarningInertFlag:
@@ -117,3 +121,25 @@ class TestWorkerGlobalRead:
         # The worker-local None-sentinel reads the mutation sits next to
         # are untouched: removing the mutation removes the diagnostic.
         assert lint_text(PARALLEL.read_text(), PARALLEL) == []
+
+
+class TestClusterWorkerGlobalRead:
+    def test_one_diagnostic_naming_the_cluster_worker(self):
+        # Every matched scenario's runs go through one pool worker, so a
+        # mutable global read anywhere under run_environment must be
+        # charged to it.
+        mutated_lines = CLUSTER.read_text().splitlines()
+        mutated_lines.insert(line_number(mutated_lines, "_OVERLOAD_SLOPE ="),
+                             "_ENV_CACHE: dict = {}")
+        body_start = line_number(mutated_lines, "def run_environment(")
+        # The signature spans several lines; insert after it closes.
+        while not mutated_lines[body_start - 1].rstrip().endswith(":"):
+            body_start += 1
+        mutated_lines.insert(body_start, "    cache = _ENV_CACHE")
+        diags = lint_text("\n".join(mutated_lines) + "\n", CLUSTER)
+        assert len(diags) == 1
+        diagnostic = diags[0]
+        assert diagnostic.rule_id == "spawn-purity"
+        assert diagnostic.line == body_start + 1
+        assert "_ENV_CACHE" in diagnostic.message
+        assert "run_environment_job" in diagnostic.message

@@ -10,7 +10,11 @@ import dataclasses
 
 import pytest
 
-from repro.experiments.cluster import ClusterConfig, run_environment
+from repro.experiments.cluster import (
+    ClusterConfig,
+    run_environment,
+    scenario_cluster,
+)
 from repro.experiments.faults import (
     FaultScenarioConfig,
     default_fault_plan,
@@ -19,6 +23,7 @@ from repro.experiments.faults import (
 )
 from repro.faults import FaultPlan, GoaOutage
 from repro.faults.spec import FaultWindow
+from tests.experiments.monitoring import invariant_monitors
 
 
 def small_cluster(**kwargs):
@@ -82,13 +87,25 @@ class TestDecentralizationScenario:
 
 class TestFaultInjectionExperiment:
     @pytest.fixture(scope="class")
-    def result(self):
-        return fault_injection_experiment(
-            FaultScenarioConfig(duration_s=900.0, seed=5))
+    def monitored(self):
+        with invariant_monitors() as monitors:
+            result = fault_injection_experiment(
+                FaultScenarioConfig(duration_s=900.0, seed=5))
+        return result, monitors
+
+    @pytest.fixture(scope="class")
+    def result(self, monitored):
+        return monitored[0]
 
     def test_matched_pair_shares_trace(self, result):
         assert result.fault_free.environment == "SmartOClock/fault-free"
         assert result.faulted.environment == "SmartOClock/faulted"
+
+    def test_safety_invariants_hold_every_tick(self, monitored):
+        result, monitors = monitored
+        assert len(monitors) == 2
+        for name, monitor in zip(("fault_free", "faulted"), monitors):
+            assert monitor.violations == [], name
 
     def test_faults_actually_fired(self, result):
         counters = result.faulted.faults
@@ -102,6 +119,7 @@ class TestFaultInjectionExperiment:
 
     def test_graceful_degradation(self, result):
         assert result.faulted.peak_rack_power_fraction <= 1.0 + 1e-9
+        assert result.ok
 
     def test_metrics_fingerprint_deterministic(self, result):
         again = fault_injection_experiment(
@@ -117,7 +135,7 @@ class TestFaultInjectionExperiment:
     def test_fault_seed_changes_fates_not_trace(self, result):
         config = FaultScenarioConfig(duration_s=900.0, seed=5)
         other = run_environment(
-            "SmartOClock", config.cluster_config(),
+            "SmartOClock", scenario_cluster(config),
             fault_plan=default_fault_plan(config), fault_seed=99,
             label="SmartOClock/faulted")
         baseline = result.faulted.faults

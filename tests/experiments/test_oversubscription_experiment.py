@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.core.oversubscription import RISK_ORDER
+from repro.experiments.cluster import scenario_cluster
 from repro.experiments.oversubscription import (
     ABLATION_POLICIES,
     OversubExperimentResult,
@@ -18,6 +19,7 @@ from repro.experiments.oversubscription import (
     mispredict_stress,
     oversubscription_ablation,
 )
+from tests.experiments.monitoring import invariant_monitors
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +33,15 @@ def ablation(config):
 
 
 @pytest.fixture(scope="module")
-def stress(config):
-    return mispredict_stress(config)
+def monitored_stress(config):
+    with invariant_monitors() as monitors:
+        stress = mispredict_stress(config)
+    return stress, monitors
+
+
+@pytest.fixture(scope="module")
+def stress(monitored_stress):
+    return monitored_stress[0]
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +66,7 @@ class TestScenarioConfig:
     def test_fault_window_covers_the_peak(self, config):
         plan = config.fault_plan()
         (fault,) = plan.mispredictions
-        cluster = config.cluster_config()
+        cluster = scenario_cluster(config)
         peak_mid = cluster.peak_start_s + cluster.peak_duration_s / 2.0
         assert fault.window.active(peak_mid)
         assert fault.scale == config.misprediction_scale
@@ -114,6 +123,12 @@ class TestAblation:
 
 
 class TestMispredictStress:
+    def test_safety_invariants_hold_every_tick(self, monitored_stress):
+        stress, monitors = monitored_stress
+        assert len(monitors) == len(stress.runs)
+        for (name, _), monitor in zip(stress.runs, monitors):
+            assert monitor.violations == [], name
+
     def test_all_runs_safe(self, stress):
         """Satellite 4: capping absorbs the misprediction — no run may
         leave its rack above the physical limit post-enforcement."""

@@ -11,17 +11,31 @@ import json
 
 import pytest
 
+from repro.experiments.cluster import scenario_cluster
 from repro.experiments.recovery import (
     RecoveryScenarioConfig,
     format_recovery_report,
     recovery_experiment,
 )
+from tests.experiments.monitoring import invariant_monitors
 
 
 class TestRecoveryScenario:
     @pytest.fixture(scope="class")
-    def result(self):
-        return recovery_experiment(RecoveryScenarioConfig(seed=0))
+    def monitored(self):
+        with invariant_monitors() as monitors:
+            result = recovery_experiment(RecoveryScenarioConfig(seed=0))
+        return result, monitors
+
+    @pytest.fixture(scope="class")
+    def result(self, monitored):
+        return monitored[0]
+
+    def test_safety_invariants_hold_every_tick(self, monitored):
+        result, monitors = monitored
+        assert len(monitors) == len(result.runs)
+        for (name, _), monitor in zip(result.runs, monitors):
+            assert monitor.violations == [], name
 
     def test_matched_triple_labels(self, result):
         assert result.naive.environment == "NaiveOClock"
@@ -51,7 +65,7 @@ class TestRecoveryScenario:
     def test_capping_envelope_holds_everywhere(self, result):
         for _, run in result.runs:
             assert run.peak_rack_power_fraction <= 1.0 + 1e-9
-        assert result.safe
+        assert result.ok
 
     def test_restored_soas_never_overgrant(self, result):
         assert result.smart_restored.restored_overgrants == 0
@@ -103,6 +117,6 @@ class TestConfigValidation:
     def test_restart_time_and_peak_placement(self):
         config = RecoveryScenarioConfig(duration_s=3000.0)
         assert config.soa_restart_at_s == 1500.0
-        cluster = config.cluster_config()
+        cluster = scenario_cluster(config)
         assert cluster.peak_start_s == 1000.0
         assert cluster.peak_duration_s == 1000.0

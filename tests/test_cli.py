@@ -98,6 +98,12 @@ class TestNumericValidation:
         (["cluster", "--duration", "-5"], "duration"),
         (["recovery", "--duration", "-1"], "too short"),
         (["fig7", "--days", "0"], "days must be >= 1"),
+        (["cluster", "--duration", "nan"], "must be finite"),
+        (["cluster", "--duration", "inf"], "must be finite"),
+        (["faults", "--duration", "nan"], "must be finite"),
+        (["faults", "--duration", "inf"], "must be finite"),
+        (["recovery", "--duration", "nan"], "must be finite"),
+        (["recovery", "--duration", "inf"], "must be finite"),
     ])
     def test_config_rejections_are_usage_errors(self, argv, message,
                                                 capsys):
