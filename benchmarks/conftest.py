@@ -52,6 +52,9 @@ def cluster_results():
 @pytest.fixture(scope="session")
 def table1_results():
     """The full Table-I sweep, shared by its benchmark and ablations."""
-    from repro.experiments.largescale import cluster_class_fleets, table1
-    fleets = cluster_class_fleets(n_racks=6, weeks=3, seed=1)
-    return table1(fleets)
+    from repro.experiments.largescale import (
+        cluster_class_fleet_configs,
+        table1_streaming,
+    )
+    return table1_streaming(
+        cluster_class_fleet_configs(n_racks=6, weeks=3, seed=1))

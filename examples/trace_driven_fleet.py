@@ -12,7 +12,10 @@ Run with::
 
 import numpy as np
 
-from repro.experiments.largescale import compare_policies, format_table1
+from repro.experiments.largescale import (
+    compare_policies_streaming,
+    format_table1,
+)
 from repro.prediction.predictor import evaluate_template
 from repro.prediction.templates import TemplateKind
 from repro.traces.synthetic import FleetConfig, generate_fleet
@@ -23,9 +26,10 @@ WEEK = 7 * 86400.0
 def main() -> None:
     print("generating a synthetic high-power fleet "
           "(8 racks x 3 weeks at 5-minute granularity)...")
-    fleet = generate_fleet(FleetConfig(
-        n_racks=8, weeks=3, seed=42,
-        p99_util_beta=(2.0, 2.0), p99_util_range=(0.86, 0.96)))
+    config = FleetConfig(n_racks=8, weeks=3, seed=42,
+                         p99_util_beta=(2.0, 2.0),
+                         p99_util_range=(0.86, 0.96))
+    fleet = generate_fleet(config)
 
     stats = fleet.rack_utilization_stats()
     print(f"  median rack P99 power utilization: "
@@ -42,9 +46,9 @@ def main() -> None:
         print(f"  {kind.value:<9} {ev.rmse:8.1f}")
 
     # --- policy comparison -------------------------------------------------
-    print("\nrunning the five policies over every rack "
+    print("\nrunning the six policies over every rack "
           "(weeks 2-3 scored)...")
-    scores = compare_policies(fleet)
+    scores = compare_policies_streaming(config)
     print(format_table1({"This fleet": scores}))
 
     smart = scores["SmartOClock"]

@@ -94,7 +94,6 @@ DEFAULT_POLICY_BASE_CLASSES = frozenset({"TracePolicy"})
 # ``module.qualname``; bare names match that qualname in any module.
 DEFAULT_WORKER_ENTRYPOINTS = frozenset({
     "repro.experiments.parallel._run_job",
-    "repro.experiments.parallel._init_worker",
 })
 
 

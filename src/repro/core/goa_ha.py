@@ -40,7 +40,7 @@ Design (all on existing plumbing — no new transport):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 from repro.cluster.topology import Rack
@@ -73,13 +73,7 @@ class HaCounters:
     cycles_missed: int = 0         # update cycles with no live primary
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "ha_failovers": self.failovers,
-            "ha_stepdowns": self.stepdowns,
-            "ha_heartbeats_sent": self.heartbeats_sent,
-            "ha_heartbeats_received": self.heartbeats_received,
-            "ha_cycles_missed": self.cycles_missed,
-        }
+        return {f"ha_{name}": value for name, value in asdict(self).items()}
 
 
 @dataclass

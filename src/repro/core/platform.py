@@ -383,15 +383,11 @@ class SmartOClockPlatform:
             from repro.recovery.lifecycle import RecoveryCounters
             merged.update(RecoveryCounters().as_dict())
         from repro.core.goa_ha import HaCounters
-        ha = HaCounters()
+        ha = HaCounters().as_dict()
         for supervisor in self.supervisors.values():
-            c = supervisor.counters
-            ha.failovers += c.failovers
-            ha.stepdowns += c.stepdowns
-            ha.heartbeats_sent += c.heartbeats_sent
-            ha.heartbeats_received += c.heartbeats_received
-            ha.cycles_missed += c.cycles_missed
-        merged.update(ha.as_dict())
+            for key, value in supervisor.counters.as_dict().items():
+                ha[key] += value
+        merged.update(ha)
         merged["stale_pushes_rejected"] = sum(
             s.stale_pushes_rejected for s in self.soas.values())
         merged["checkpoint_corruption_detected"] = (

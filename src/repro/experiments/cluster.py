@@ -810,9 +810,10 @@ def run_variants(cluster: ClusterConfig, variants: Sequence[dict[str, Any]],
     model, ...).  The variants share nothing mutable, so they shard over
     a spawn pool (``workers``) with a deterministic merge."""
     from repro.experiments.parallel import run_jobs
-    return run_jobs(run_environment_job,
-                    [dict(variant, environment="SmartOClock", config=cluster)
-                     for variant in variants], workers=workers)
+    return list(run_jobs(run_environment_job,
+                         [dict(variant, environment="SmartOClock",
+                               config=cluster)
+                          for variant in variants], workers=workers))
 
 
 def format_run_table(runs: Sequence[tuple[str, dict[str, float]]],

@@ -22,8 +22,8 @@ architecture"):
 
 * :func:`simulate_rack_reference` — the scalar oracle: one Python
   iteration per tick, exactly the semantics above.
-* :func:`simulate_rack` (default ``fast=True``) — the vectorized fast
-  path: policies pre-plan segments of decisions
+* :func:`simulate_rack` — the vectorized engine: policies pre-plan
+  segments of decisions
   (:meth:`~repro.core.policies.TracePolicy.plan_segment`), the engine
   computes whole segments with NumPy and scans for the first tick that
   crosses ``warning_watts`` (or where a stateful policy could diverge);
@@ -32,19 +32,14 @@ architecture"):
   float accumulation happens in the same per-tick order — and the
   property tests in ``tests/experiments/test_fastpath.py`` enforce it.
 
-``compare_policies``/``table1`` additionally fan (rack, policy) work
-items over a process pool (:mod:`repro.experiments.parallel`) via the
-``workers=`` knob; merged output is byte-identical to the serial path.
-
-For fleet-scale sweeps (the paper's 7.1k racks) the streaming variants
-— :func:`compare_policies_streaming` / :func:`table1_streaming` — never
-materialize the fleet at all: the driver ships ~100-byte
-:class:`~repro.experiments.parallel.RackSpec` recipes, workers
-regenerate each rack's trace from its spawned seed stream, and
-per-rack results fold into running :class:`PolicyAccumulator` totals in
-submission-slot order.  The materialized drivers feed their racks to the
-same fold (:func:`_fold_fleets`), so the two paths score byte-identically
-— at any worker count.
+The fleet drivers — :func:`compare_policies_streaming` and
+:func:`table1_streaming` — never materialize a fleet: they feed
+~100-byte :class:`~repro.experiments.parallel.RackSpec` recipes to
+:func:`~repro.experiments.parallel.iter_rack_policy_results`, which
+regenerates each rack's trace from its spawned seed stream (in-process
+or in a spawn pool, ``workers=``), and fold the per-rack results into
+running :class:`PolicyAccumulator` totals in submission-slot order, so
+the scores are byte-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -53,11 +48,11 @@ import bisect
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.cluster.power import DEFAULT_POWER_MODEL, PowerModel
+from repro.cluster.power import DEFAULT_POWER_MODEL
 from repro.core.policies import (
     RackWeekView,
     SegmentPlan,
@@ -66,10 +61,7 @@ from repro.core.policies import (
     WeekHistory,
 )
 from repro.traces.schema import RackTrace
-from repro.traces.synthetic import FleetConfig, SyntheticFleet, generate_fleet
-
-if TYPE_CHECKING:
-    from repro.experiments.parallel import RackSource
+from repro.traces.synthetic import FleetConfig
 
 __all__ = [
     "RackFrame",
@@ -78,11 +70,8 @@ __all__ = [
     "PolicyAccumulator",
     "simulate_rack",
     "simulate_rack_reference",
-    "compare_policies",
     "compare_policies_streaming",
     "cluster_class_fleet_configs",
-    "cluster_class_fleets",
-    "table1",
     "table1_streaming",
     "format_table1",
 ]
@@ -95,7 +84,7 @@ SECONDS_PER_WEEK = 7 * 86400.0
 _FAST_LOOKAHEAD = 512
 
 #: Policy column order of Table I (also the default for
-#: :func:`compare_policies`).
+#: :func:`compare_policies_streaming`).
 TABLE1_POLICIES = ("Central", "NaiveOClock", "NoFeedback", "NoWarning",
                    "SmartOClock", "SmartOClock+OSub")
 
@@ -277,8 +266,7 @@ class _Physics:
 
 
 def _prepare(rack: "RackTrace | RackFrame", policy: TracePolicy,
-             power_model: PowerModel, warning_fraction: float,
-             target_freq_ghz: float
+             warning_fraction: float, target_freq_ghz: float
              ) -> tuple[RackFrame, _Physics, RackSimResult]:
     frame = rack if isinstance(rack, RackFrame) else RackFrame(rack)
     if policy.n_servers != frame.n_servers:
@@ -287,9 +275,10 @@ def _prepare(rack: "RackTrace | RackFrame", policy: TracePolicy,
             f"{frame.n_servers}")
     physics = _Physics(
         warning_watts=warning_fraction * frame.limit,
-        ratio=target_freq_ghz / power_model.plan.turbo_ghz,
-        delta_full=power_model.overclock_core_delta(1.0, target_freq_ghz),
-        idle=power_model.idle_watts)
+        ratio=target_freq_ghz / DEFAULT_POWER_MODEL.plan.turbo_ghz,
+        delta_full=DEFAULT_POWER_MODEL.overclock_core_delta(
+            1.0, target_freq_ghz),
+        idle=DEFAULT_POWER_MODEL.idle_watts)
     return frame, physics, RackSimResult(rack_id=frame.rack_id,
                                          policy=policy.name)
 
@@ -384,7 +373,6 @@ def _apply_tick(result: RackSimResult, policy: TracePolicy,
 
 def simulate_rack_reference(rack: "RackTrace | RackFrame",
                             policy: TracePolicy, *,
-                            power_model: PowerModel = DEFAULT_POWER_MODEL,
                             warning_fraction: float = 0.95,
                             target_freq_ghz: float = 4.0) -> RackSimResult:
     """Scalar oracle: run ``policy`` over ``rack`` one tick at a time.
@@ -392,8 +380,8 @@ def simulate_rack_reference(rack: "RackTrace | RackFrame",
     Scores weeks 2..N (week 1 is the policy's first history window).
     This is the semantic reference for :func:`simulate_rack`; keep it a
     plain per-tick loop."""
-    frame, physics, result = _prepare(rack, policy, power_model,
-                                      warning_fraction, target_freq_ghz)
+    frame, physics, result = _prepare(rack, policy, warning_fraction,
+                                      target_freq_ghz)
     times, power, util, demand = (frame.times, frame.power, frame.util,
                                   frame.demand)
     tpw = frame.ticks_per_week
@@ -638,25 +626,16 @@ def _run_week_fast(view: RackWeekView, policy: TracePolicy,
 
 
 def simulate_rack(rack: "RackTrace | RackFrame", policy: TracePolicy, *,
-                  power_model: PowerModel = DEFAULT_POWER_MODEL,
                   warning_fraction: float = 0.95,
-                  target_freq_ghz: float = 4.0,
-                  fast: bool = True) -> RackSimResult:
+                  target_freq_ghz: float = 4.0) -> RackSimResult:
     """Run ``policy`` over ``rack``'s trace; scores weeks 2..N (week 1 is
     the policy's first history window).
 
     ``rack`` is a trace or the :class:`RackFrame` of one; sweeps pass the
-    frame so every policy of a rack shares it.  ``fast=True`` (default)
-    runs the vectorized fast path — bit-identical counters to
-    :func:`simulate_rack_reference`, which ``fast=False`` selects
-    explicitly."""
-    if not fast:
-        return simulate_rack_reference(
-            rack, policy, power_model=power_model,
-            warning_fraction=warning_fraction,
-            target_freq_ghz=target_freq_ghz)
-    frame, physics, result = _prepare(rack, policy, power_model,
-                                      warning_fraction, target_freq_ghz)
+    frame so every policy of a rack shares it.  The counters are
+    bit-identical to :func:`simulate_rack_reference`'s."""
+    frame, physics, result = _prepare(rack, policy, warning_fraction,
+                                      target_freq_ghz)
     power_t, util_t, demand_t = frame.power_t, frame.util_t, frame.demand_t
     power_sums = frame.power_sums
     ones_buf = np.ones(frame.n_servers)
@@ -722,8 +701,8 @@ class PolicyAccumulator:
 
     Results must be folded in rack order: float accumulation is a left
     fold from zero, exactly what ``sum()`` over an ordered list does, so
-    a streaming sweep that adds results in submission-slot order scores
-    byte-identically to the materialize-everything path.
+    a sweep that adds results in submission-slot order scores
+    byte-identically at any worker count.
     """
 
     policy: str
@@ -783,29 +762,30 @@ def _finalize_scores(accs: dict[str, PolicyAccumulator]
     return {name: acc.score(central_caps) for name, acc in accs.items()}
 
 
-def _fold_fleets(sizes: dict[str, int], racks: "Iterable[RackSource]",
-                 policy_names: Sequence[str], *, power_model: PowerModel,
-                 workers: Optional[int], fast: bool,
-                 max_inflight: Optional[int] = None
+def _fold_fleets(configs: dict[str, FleetConfig],
+                 policy_names: Sequence[str], *, workers: Optional[int],
+                 max_inflight: Optional[int]
                  ) -> dict[str, dict[str, PolicyScore]]:
-    """Score every policy on every fleet: the one fold behind the Table-I
-    drivers, materialized or streaming.
+    """Score every policy on every fleet ``configs`` describes: the one
+    fold behind the Table-I drivers.
 
-    ``racks`` holds the fleets' racks back to back, in ``sizes`` order
-    (fleet name → rack count), as traces or specs.  Results arrive in
-    submission-slot order, so each accumulator folds its racks in rack
-    order: the scores are byte-identical at any worker count, and the
-    driver never holds more than the in-flight window of results."""
-    from repro.experiments.parallel import iter_rack_policy_results
+    The fleets' racks stream back to back, in ``configs`` order, as
+    :class:`~repro.experiments.parallel.RackSpec` jobs.  Results arrive
+    in submission-slot order, so each accumulator folds its racks in
+    rack order: the scores are byte-identical at any worker count, and
+    the driver never holds more than the in-flight window of results."""
+    from repro.experiments.parallel import RackSpec, iter_rack_policy_results
     names = tuple(policy_names)
-    order = list(sizes)
-    bounds = list(itertools.accumulate(sizes.values()))
+    order = list(configs)
+    bounds = list(itertools.accumulate(
+        config.n_racks for config in configs.values()))
+    specs = (RackSpec(config=config, rack_index=r)
+             for config in configs.values() for r in range(config.n_racks))
     accs = {fleet: {p: PolicyAccumulator(policy=p) for p in names}
             for fleet in order}
     fleet_idx = 0
     for rack_slot, policy, result in iter_rack_policy_results(
-            racks, names, power_model=power_model, workers=workers,
-            fast=fast, max_inflight=max_inflight):
+            specs, names, workers=workers, max_inflight=max_inflight):
         # Results arrive slot-ordered, so the owning fleet only ever
         # advances — no per-result search needed.
         while rack_slot >= bounds[fleet_idx]:
@@ -814,41 +794,23 @@ def _fold_fleets(sizes: dict[str, int], racks: "Iterable[RackSource]",
     return {fleet: _finalize_scores(accs[fleet]) for fleet in order}
 
 
-def compare_policies(fleet: SyntheticFleet,
-                     policy_names: Sequence[str] = TABLE1_POLICIES, *,
-                     power_model: PowerModel = DEFAULT_POWER_MODEL,
-                     workers: Optional[int] = 1,
-                     fast: bool = True) -> dict[str, PolicyScore]:
-    """Run every policy over every rack of a fleet and aggregate.
-
-    ``workers=1`` runs serially in-process; ``workers=N`` (or None →
-    ``os.cpu_count()``) fans the (rack, policy) grid over a process pool
-    with byte-identical output (see :mod:`repro.experiments.parallel`)."""
-    return _fold_fleets({"": len(fleet.racks)}, fleet.racks, policy_names,
-                        power_model=power_model, workers=workers,
-                        fast=fast)[""]
-
-
 def compare_policies_streaming(
         config: FleetConfig,
         policy_names: Sequence[str] = TABLE1_POLICIES, *,
-        power_model: PowerModel = DEFAULT_POWER_MODEL,
-        workers: Optional[int] = 1, fast: bool = True,
+        workers: Optional[int] = 1,
         max_inflight: Optional[int] = None) -> dict[str, PolicyScore]:
-    """Sweep the fleet ``config`` describes without materializing it.
+    """Run every policy over every rack of the fleet ``config`` describes
+    and aggregate, without materializing the fleet.
 
-    Workers regenerate each rack from its spawned seed stream
-    (:class:`~repro.experiments.parallel.RackSpec`); results fold into
-    running accumulators in submission-slot order.  Byte-identical to
-    ``compare_policies(generate_fleet(config), ...)`` at any worker
-    count, with driver memory bounded by the in-flight window instead of
-    the fleet size."""
-    from repro.experiments.parallel import RackSpec
-    specs = (RackSpec(config=config, rack_index=r)
-             for r in range(config.n_racks))
-    return _fold_fleets({"": config.n_racks}, specs, policy_names,
-                        power_model=power_model, workers=workers,
-                        fast=fast, max_inflight=max_inflight)[""]
+    Each rack is regenerated from its spawned seed stream
+    (:class:`~repro.experiments.parallel.RackSpec`) — in-process for
+    ``workers=1``, in a spawn pool otherwise (``None`` → usable CPUs) —
+    and results fold into running accumulators in submission-slot
+    order, so the scores are byte-identical at any worker count, with
+    driver memory bounded by the in-flight window instead of the fleet
+    size."""
+    return _fold_fleets({"": config}, policy_names, workers=workers,
+                        max_inflight=max_inflight)[""]
 
 
 #: Table I's cluster classes: per-rack target P99 utilization ranges.
@@ -861,11 +823,8 @@ _CLUSTER_CLASS_RANGES = {
 
 def cluster_class_fleet_configs(*, n_racks: int = 12, weeks: int = 2,
                                 seed: int = 42) -> dict[str, FleetConfig]:
-    """Configs for Table I's High/Medium/Low-power classes.
-
-    The configs alone are enough to drive :func:`table1_streaming`;
-    :func:`cluster_class_fleets` materializes them for the in-memory
-    path."""
+    """Configs for Table I's High/Medium/Low-power classes, enough to
+    drive :func:`table1_streaming`."""
     configs: dict[str, FleetConfig] = {}
     for i, (name, p99_range) in enumerate(_CLUSTER_CLASS_RANGES.items()):
         configs[name] = FleetConfig(
@@ -875,51 +834,19 @@ def cluster_class_fleet_configs(*, n_racks: int = 12, weeks: int = 2,
     return configs
 
 
-def cluster_class_fleets(*, n_racks: int = 12, weeks: int = 2,
-                         seed: int = 42) -> dict[str, SyntheticFleet]:
-    """Three fleets matching Table I's High/Medium/Low-power classes."""
-    configs = cluster_class_fleet_configs(n_racks=n_racks, weeks=weeks,
-                                          seed=seed)
-    return {name: generate_fleet(config)
-            for name, config in configs.items()}
-
-
-def table1(fleets: dict[str, SyntheticFleet], *,
-           power_model: PowerModel = DEFAULT_POWER_MODEL,
-           workers: Optional[int] = 1,
-           fast: bool = True) -> dict[str, dict[str, PolicyScore]]:
-    """Full Table I: per cluster class, per policy.
-
-    With ``workers`` > 1 the whole (fleet, rack, policy) grid shares one
-    process pool; per-fleet aggregation runs in the same order as the
-    serial path, so output is byte-identical to ``workers=1``."""
-    racks = (rack for fleet in fleets.values() for rack in fleet.racks)
-    return _fold_fleets({name: len(fleet.racks)
-                         for name, fleet in fleets.items()},
-                        racks, TABLE1_POLICIES, power_model=power_model,
-                        workers=workers, fast=fast)
-
-
 def table1_streaming(configs: dict[str, FleetConfig], *,
-                     power_model: PowerModel = DEFAULT_POWER_MODEL,
-                     workers: Optional[int] = 1, fast: bool = True,
+                     workers: Optional[int] = 1,
                      max_inflight: Optional[int] = None
                      ) -> dict[str, dict[str, PolicyScore]]:
-    """Full Table I without materializing any fleet.
+    """Full Table I: per cluster class, per policy, without materializing
+    any fleet.
 
-    The whole (fleet, rack, policy) grid streams through one process
-    pool as :class:`~repro.experiments.parallel.RackSpec` jobs; results
-    fold in the order :func:`table1` folds its materialized racks, so
-    the scores are byte-identical to ``table1(cluster fleets)`` at any
-    worker count, with driver memory bounded by the in-flight window."""
-    from repro.experiments.parallel import RackSpec
-    specs = (RackSpec(config=config, rack_index=r)
-             for config in configs.values()
-             for r in range(config.n_racks))
-    return _fold_fleets({name: config.n_racks
-                         for name, config in configs.items()},
-                        specs, TABLE1_POLICIES, power_model=power_model,
-                        workers=workers, fast=fast, max_inflight=max_inflight)
+    The whole (fleet, rack, policy) grid streams through one sweep
+    (one process pool when ``workers`` > 1); each class folds its racks
+    in rack order, so the scores are byte-identical at any worker
+    count, with driver memory bounded by the in-flight window."""
+    return _fold_fleets(configs, TABLE1_POLICIES, workers=workers,
+                        max_inflight=max_inflight)
 
 
 def format_table1(results: dict[str, dict[str, PolicyScore]]) -> str:

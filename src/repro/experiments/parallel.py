@@ -1,44 +1,36 @@
-"""Process-parallel sweep of (rack, policy) simulation work items.
+"""Ordered spawn-pool sweeps: the Table-I (rack, policy) grid, the chaos
+trials and the matched platform variants all run through :func:`run_jobs`.
 
-Sharding layer for :func:`repro.experiments.largescale.compare_policies`
-and :func:`~repro.experiments.largescale.table1` and their streaming
-variants.  Design constraints (DESIGN.md "Performance architecture"):
+Design constraints (DESIGN.md "Performance architecture"):
 
 * **Spawn-safe** — the pool always uses the ``spawn`` start method (the
   only one portable across platforms and safe with threaded parents),
-  so the worker is a module-level function and every payload pickles.
-* **Seed-sharded** — the preferred unit of work is a
-  :class:`RackSpec` (fleet config + rack index, ~100 bytes on the
-  wire); the worker regenerates the rack's trace locally from its
-  spawned seed stream (:func:`repro.traces.synthetic.generate_fleet_rack`),
-  byte-identical to the driver materializing it.  Plain
-  :class:`~repro.traces.schema.RackTrace` payloads are still accepted
-  for pre-materialized fleets.
-* **Shared state ships once** — the :class:`PowerModel` is sent to each
-  worker through the executor initializer, not serialized into every
-  job.
-* **Streaming, deterministic merge** — :func:`iter_rack_policy_results`
-  yields results in exact submission-slot order (a bounded reorder
-  buffer holds early completions), so downstream aggregation folds
-  floats in the serial order and never holds more than the in-flight
-  window of results, no matter how large the fleet.
-* **Fail fast** — a worker exception cancels every queued job
-  (``cancel_futures``) instead of letting the rest of the grid run to
-  completion before the error surfaces.
-* ``workers=1`` short-circuits to a plain in-process loop — no pool, no
-  pickling — which is also the serial path the byte-identity tests
-  compare against.
+  so every job function is module-level and every payload pickles.
+* **Ordered, windowed FIFO** — at most ``max_inflight`` submitted,
+  unyielded jobs, and the driver always waits on the oldest: results
+  come back in payload order, so consumers fold floats in the serial
+  order at any worker count, and payloads are read lazily, never more
+  than the window ahead of the consumer.
+* **Fail fast** — a worker exception (or the consumer abandoning the
+  stream) cancels every queued job (``cancel_futures``) instead of
+  letting the rest of the sweep run to completion.
+* ``workers=1`` runs the same job function in-process — no pool, no
+  pickling — which is the serial path the byte-identity tests compare
+  against.
+
+The Table-I sweep ships :class:`RackSpec` recipes (fleet config + rack
+index, ~100 bytes on the wire): :func:`_run_job` regenerates the rack's
+trace from its spawned seed stream
+(:func:`repro.traces.synthetic.generate_fleet_rack`), byte-identical to
+the driver materializing it, and a one-slot cache shares the expanded
+rack across that rack's policies.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import (
@@ -49,10 +41,8 @@ from typing import (
     Optional,
     Sequence,
     TypeVar,
-    Union,
 )
 
-from repro.cluster.power import DEFAULT_POWER_MODEL, PowerModel
 from repro.traces.schema import RackTrace
 from repro.traces.synthetic import FleetConfig, generate_fleet_rack
 
@@ -61,10 +51,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "RackSpec",
-    "RackPolicyJob",
     "resolve_workers",
     "iter_rack_policy_results",
-    "run_rack_policy_jobs",
     "run_jobs",
 ]
 
@@ -80,80 +68,41 @@ class RackSpec:
     config: FleetConfig
     rack_index: int
 
-    def materialize(self, power_model: PowerModel = DEFAULT_POWER_MODEL
-                    ) -> RackTrace:
+    def materialize(self) -> RackTrace:
         """Expand to the rack's trace — byte-identical wherever run."""
-        return generate_fleet_rack(self.config, self.rack_index,
-                                   power_model=power_model)
+        return generate_fleet_rack(self.config, self.rack_index)
 
 
-#: What a job may carry: a spec (preferred — tiny, worker expands it) or
-#: an already-materialized trace (pre-built fleets; whole arrays pickle).
-RackSource = Union[RackSpec, RackTrace]
-
-
-@dataclass(frozen=True)
-class RackPolicyJob:
-    """One unit of work: one policy simulated over one rack.
-
-    ``slot`` is the submission index over the flattened (rack, policy)
-    grid; the driver uses it to re-establish serial order when results
-    complete out of order.  The shared :class:`PowerModel` is *not* part
-    of the job — it ships once per worker via the pool initializer.
-    """
-
-    slot: int
-    policy: str
-    rack: RackSource
-    fast: bool
-
-
-# Per-worker state installed by the pool initializer / warmed lazily.
-_WORKER_POWER_MODEL: Optional[PowerModel] = None
 #: Frame of the most recently expanded rack, keyed by its spec:
-#: consecutive policies of one rack usually land on the same worker (jobs
+#: consecutive policies of one rack usually run in the same process (jobs
 #: are submitted rack-major), so the trace is regenerated — and each of
 #: its weeks fitted — once, not once per policy.
 _WORKER_RACK_CACHE: "Optional[tuple[RackSpec, RackFrame]]" = None
 
 
-def _init_worker(power_model: PowerModel) -> None:
-    """Pool initializer: receive the shared power model exactly once."""
-    global _WORKER_POWER_MODEL
-    _WORKER_POWER_MODEL = power_model
-
-
-def _expand(rack: RackSource, power_model: PowerModel) -> "RackFrame":
-    """The rack's frame: a spec's comes from a one-slot per-worker cache,
-    a pre-built trace gets a fresh one."""
+def _expand(spec: RackSpec) -> "RackFrame":
+    """The spec's frame, from the one-slot per-process cache."""
     global _WORKER_RACK_CACHE
     from repro.experiments.largescale import RackFrame
 
-    if isinstance(rack, RackTrace):
-        return RackFrame(rack)
-    if _WORKER_RACK_CACHE is not None and _WORKER_RACK_CACHE[0] == rack:
+    if _WORKER_RACK_CACHE is not None and _WORKER_RACK_CACHE[0] == spec:
         return _WORKER_RACK_CACHE[1]
-    # Release the previous rack before expanding the next, so a worker
+    # Release the previous rack before expanding the next, so a process
     # never holds two.
     _WORKER_RACK_CACHE = None
-    frame = RackFrame(rack.materialize(power_model))
-    _WORKER_RACK_CACHE = (rack, frame)
+    frame = RackFrame(spec.materialize())
+    _WORKER_RACK_CACHE = (spec, frame)
     return frame
 
 
-def _run_job(job: RackPolicyJob) -> "tuple[int, RackSimResult]":
+def _run_job(job: "tuple[RackSpec, str]") -> "RackSimResult":
     # Module-level so the spawn start method can pickle it by reference.
     from repro.core.policies import make_policy
     from repro.experiments.largescale import simulate_rack
 
-    power_model = _WORKER_POWER_MODEL
-    if power_model is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("worker used before its initializer ran")
-    frame = _expand(job.rack, power_model)
-    policy = make_policy(job.policy, frame.n_servers)
-    result = simulate_rack(frame, policy, power_model=power_model,
-                           fast=job.fast)
-    return job.slot, result
+    spec, policy_name = job
+    frame = _expand(spec)
+    return simulate_rack(frame, make_policy(policy_name, frame.n_servers))
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -175,140 +124,62 @@ def resolve_workers(workers: Optional[int]) -> int:
 
 
 def run_jobs(fn: "Callable[[_P], _R]", payloads: "Iterable[_P]", *,
-             workers: Optional[int] = 1) -> "list[_R]":
-    """Run ``fn`` over ``payloads``, returning results in payload order.
+             workers: Optional[int] = 1,
+             max_inflight: Optional[int] = None) -> "Iterator[_R]":
+    """Yield ``fn(payload)`` for every payload, in payload order.
 
-    The generic sharding primitive behind the multi-trial and
-    matched-variant experiment sweeps (``repro chaos/recovery/faults/
-    oversub --workers N``): ``fn`` must be a module-level function and
-    every payload must pickle (the pool always uses the ``spawn`` start
-    method).  Results are gathered future-by-future in submission order,
-    so the merge is deterministic at any worker count; ``workers=1``
-    short-circuits to a plain in-process loop — the byte-identity
-    baseline.  A worker exception cancels everything still queued.
+    ``workers=1`` runs ``fn`` in-process.  Otherwise a spawn pool runs
+    it — ``fn`` must be a module-level function and every payload must
+    pickle — keeping at most ``max_inflight`` (default 4 × workers)
+    submitted, unyielded jobs in a FIFO and always waiting on the
+    oldest.  ``payloads`` is read lazily: by the time the k-th result is
+    yielded, at most ``k - 1 + max_inflight`` payloads have been read,
+    so a lazy payload stream keeps driver memory bounded.  A worker
+    exception, or the consumer closing the stream, cancels everything
+    still queued.
     """
-    items = list(payloads)
     n_workers = resolve_workers(workers)
-    if n_workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=min(n_workers, len(items)),
+    window = 4 * n_workers if max_inflight is None else max_inflight
+    if window < 1:
+        raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
+    if n_workers == 1:
+        for payload in payloads:
+            yield fn(payload)
+        return
+    with ProcessPoolExecutor(max_workers=n_workers,
                              mp_context=get_context("spawn")) as pool:
-        futures = [pool.submit(fn, item) for item in items]
+        pending: "deque[Future[_R]]" = deque()
         try:
-            return [future.result() for future in futures]
+            for payload in payloads:
+                pending.append(pool.submit(fn, payload))
+                if len(pending) == window:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
         except BaseException:
-            for future in futures:
+            for future in pending:
                 future.cancel()
             pool.shutdown(wait=False, cancel_futures=True)
             raise
 
 
 def iter_rack_policy_results(
-        racks: Iterable[RackSource], policy_names: Sequence[str], *,
-        power_model: PowerModel = DEFAULT_POWER_MODEL,
-        workers: Optional[int] = 1, fast: bool = True,
-        max_inflight: Optional[int] = None,
+        specs: Iterable[RackSpec], policy_names: Sequence[str], *,
+        workers: Optional[int] = 1, max_inflight: Optional[int] = None,
 ) -> "Iterator[tuple[int, str, RackSimResult]]":
-    """Simulate the (rack, policy) grid, yielding ``(rack_slot,
-    policy_name, result)`` in exact submission order.
+    """Simulate the (rack, policy) grid rack-major, yielding
+    ``(rack_slot, policy_name, result)`` in that order.
 
-    ``racks`` may be a lazy iterable of specs: the driver materializes
-    nothing beyond the in-flight window, so memory stays bounded while
-    the fleet scales.  Results completing out of order wait in a
-    reorder buffer (never larger than the window) until every earlier
-    slot has been emitted — consumers therefore fold floats in the same
-    order as the ``workers=1`` loop, byte-identically.
-
-    A worker exception cancels all queued jobs and re-raises promptly.
+    ``specs`` may be a lazy iterable: :func:`run_jobs` reads it no
+    further than the in-flight window ahead of the consumer, so driver
+    memory stays bounded while the fleet scales, and consumers fold
+    floats in the same order at any worker count.
     """
     names = tuple(policy_names)
     if not names:
         raise ValueError("need at least one policy name")
-    n_workers = resolve_workers(workers)
-
-    if n_workers == 1:
-        from repro.core.policies import make_policy
-        from repro.experiments.largescale import RackFrame, simulate_rack
-
-        for rack_slot, rack in enumerate(racks):
-            frame = RackFrame(rack.materialize(power_model)
-                              if isinstance(rack, RackSpec) else rack)
-            for name in names:
-                policy = make_policy(name, frame.n_servers)
-                yield rack_slot, name, simulate_rack(
-                    frame, policy, power_model=power_model, fast=fast)
-            # Release this rack (the last policy references its weeks)
-            # before the next one expands.
-            del frame, policy
-        return
-
-    window = max_inflight if max_inflight is not None else 4 * n_workers
-    if window < 1:
-        raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
-    jobs = (RackPolicyJob(slot=rack_slot * len(names) + j, policy=name,
-                          rack=rack, fast=fast)
-            for rack_slot, rack in enumerate(racks)
-            for j, name in enumerate(names))
-
-    ready: "dict[int, RackSimResult]" = {}
-    emit_next = 0
-
-    def drain(done: "set[Future[tuple[int, RackSimResult]]]") -> None:
-        for fut in done:
-            slot, result = fut.result()  # re-raises worker exceptions
-            ready[slot] = result
-
-    def emit() -> "Iterator[tuple[int, str, RackSimResult]]":
-        nonlocal emit_next
-        while emit_next in ready:
-            result = ready.pop(emit_next)
-            rack_slot, j = divmod(emit_next, len(names))
-            emit_next += 1
-            yield rack_slot, names[j], result
-
-    with ProcessPoolExecutor(max_workers=n_workers,
-                             mp_context=get_context("spawn"),
-                             initializer=_init_worker,
-                             initargs=(power_model,)) as pool:
-        pending: "set[Future[tuple[int, RackSimResult]]]" = set()
-        try:
-            for job in jobs:
-                while len(pending) >= window:
-                    done, pending = wait(pending,
-                                         return_when=FIRST_COMPLETED)
-                    drain(done)
-                    yield from emit()
-                pending.add(pool.submit(_run_job, job))
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                drain(done)
-                yield from emit()
-        except BaseException:
-            # Fail fast: a worker error (or the consumer abandoning the
-            # generator) must not let the rest of the grid run to
-            # completion behind the scenes.
-            for fut in pending:
-                fut.cancel()
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-
-
-def run_rack_policy_jobs(
-        racks: Sequence[RackSource], policy_names: Sequence[str], *,
-        power_model: PowerModel = DEFAULT_POWER_MODEL,
-        workers: Optional[int] = 1, fast: bool = True,
-        max_inflight: Optional[int] = None,
-) -> "list[dict[str, RackSimResult]]":
-    """Simulate every (rack, policy) pair and collect everything.
-
-    Returns one ``{policy: RackSimResult}`` dict per rack, in input rack
-    order, regardless of worker completion order.  This materializes the
-    full result grid — fine for pre-built fleets; fleet-scale sweeps
-    should consume :func:`iter_rack_policy_results` and fold instead.
-    """
-    merged: "list[dict[str, RackSimResult]]" = [{} for _ in racks]
-    for rack_slot, name, result in iter_rack_policy_results(
-            racks, policy_names, power_model=power_model, workers=workers,
-            fast=fast, max_inflight=max_inflight):
-        merged[rack_slot][name] = result
-    return merged
+    jobs = ((spec, name) for spec in specs for name in names)
+    for slot, result in enumerate(run_jobs(_run_job, jobs, workers=workers,
+                                           max_inflight=max_inflight)):
+        rack_slot, j = divmod(slot, len(names))
+        yield rack_slot, names[j], result

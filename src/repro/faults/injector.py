@@ -12,7 +12,7 @@ scenario assert bit-identical metrics.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -36,14 +36,7 @@ class FaultCounters:
     checkpoints_corrupted: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "goa_cycles_missed": self.goa_cycles_missed,
-            "messages_dropped": self.messages_dropped,
-            "messages_delayed": self.messages_delayed,
-            "telemetry_dropped": self.telemetry_dropped,
-            "predictions_skewed": self.predictions_skewed,
-            "checkpoints_corrupted": self.checkpoints_corrupted,
-        }
+        return asdict(self)
 
 
 def event_entropy(seed: int, *parts: object) -> list[int]:

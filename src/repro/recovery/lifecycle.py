@@ -71,21 +71,7 @@ class RecoveryCounters:
     quarantines: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "server_crashes": self.server_crashes,
-            "forced_crashes": self.forced_crashes,
-            "hazard_crashes": self.hazard_crashes,
-            "server_restarts": self.server_restarts,
-            "soa_restarts": self.soa_restarts,
-            "vms_evacuated": self.vms_evacuated,
-            "evacuation_retries": self.evacuation_retries,
-            "checkpoints_taken": self.checkpoints_taken,
-            "restores_from_checkpoint": self.restores_from_checkpoint,
-            "restores_cold": self.restores_cold,
-            "restores_corrupted": self.restores_corrupted,
-            "grants_revoked_on_restore": self.grants_revoked_on_restore,
-            "quarantines": self.quarantines,
-        }
+        return dataclasses.asdict(self)
 
 
 class ServerLifecycleManager:

@@ -209,7 +209,9 @@ class TestConfigLoading:
     def test_repo_pyproject_names_parallel_entrypoints(self):
         repo_pyproject = Path(__file__).parents[2] / "pyproject.toml"
         config = load_config(repo_pyproject)
-        assert "repro.experiments.parallel._run_job" in \
-            config.worker_entrypoints
-        assert "repro.experiments.parallel._init_worker" in \
-            config.worker_entrypoints
+        # One job function per sweep that the pool primitive runs.
+        assert config.worker_entrypoints == {
+            "repro.experiments.parallel._run_job",
+            "repro.experiments.cluster.run_environment_job",
+            "repro.experiments.chaos._trial_job",
+        }

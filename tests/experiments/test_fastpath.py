@@ -33,7 +33,19 @@ def make_rack(seed, *, weeks=2, servers=6, interval_s=FAST_INTERVAL_S,
     return generate_fleet(config).racks[0]
 
 
+def assert_accounting_consistent(result):
+    """The trace path's accounting rules, whichever engine produced
+    ``result``."""
+    assert result.granted_core_ticks <= result.demanded_core_ticks
+    assert result.successful_core_ticks \
+        <= result.granted_core_ticks * (1 + 1e-12)
+    assert result.stranded_watt_ticks >= 0
+    assert result.osub_cap_events <= result.cap_events
+
+
 def assert_bit_identical(fast, reference):
+    assert_accounting_consistent(fast)
+    assert_accounting_consistent(reference)
     a = dataclasses.asdict(fast)
     b = dataclasses.asdict(reference)
     # Plain == on every field: ints exactly, floats bitwise (the fast
@@ -55,14 +67,6 @@ class TestBitIdentical:
         assert ref.cap_events > 0 or ref.warnings > 0 \
             or policy_name == "Central"
         assert_bit_identical(fast, ref)
-
-    def test_fast_false_dispatches_to_reference(self):
-        rack = make_rack(3)
-        a = simulate_rack(rack, make_policy("SmartOClock",
-                                            len(rack.servers)), fast=False)
-        b = simulate_rack_reference(rack, make_policy("SmartOClock",
-                                                      len(rack.servers)))
-        assert_bit_identical(a, b)
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000),

@@ -5,25 +5,26 @@ import pytest
 
 from repro.core.policies import make_policy
 from repro.experiments.largescale import (
-    cluster_class_fleets,
-    compare_policies,
+    cluster_class_fleet_configs,
+    compare_policies_streaming,
     simulate_rack,
 )
 from repro.traces.synthetic import FleetConfig, generate_fleet
 
-
-@pytest.fixture(scope="module")
-def high_power_fleet():
-    config = FleetConfig(n_racks=3, weeks=2, seed=9,
+HIGH_POWER = FleetConfig(n_racks=3, weeks=2, seed=9,
                          servers_per_rack_min=12, servers_per_rack_max=12,
                          p99_util_beta=(2.0, 2.0),
                          p99_util_range=(0.86, 0.96))
-    return generate_fleet(config)
 
 
 @pytest.fixture(scope="module")
-def scores(high_power_fleet):
-    return compare_policies(high_power_fleet)
+def high_power_fleet():
+    return generate_fleet(HIGH_POWER)
+
+
+@pytest.fixture(scope="module")
+def scores():
+    return compare_policies_streaming(HIGH_POWER)
 
 
 class TestSimulateRack:
@@ -117,14 +118,14 @@ class TestCappingAblation:
 
 class TestClusterClasses:
     def test_three_classes_generated(self):
-        fleets = cluster_class_fleets(n_racks=2, weeks=2, seed=3)
-        assert set(fleets) == {"High-Power", "Medium-Power", "Low-Power"}
+        configs = cluster_class_fleet_configs(n_racks=2, weeks=2, seed=3)
+        assert set(configs) == {"High-Power", "Medium-Power", "Low-Power"}
 
     def test_class_utilizations_ordered(self):
-        fleets = cluster_class_fleets(n_racks=2, weeks=2, seed=3)
+        configs = cluster_class_fleet_configs(n_racks=2, weeks=2, seed=3)
         means = {}
-        for name, fleet in fleets.items():
-            stats = fleet.rack_utilization_stats()
+        for name, config in configs.items():
+            stats = generate_fleet(config).rack_utilization_stats()
             means[name] = float(np.mean(stats["p99"]))
         assert means["High-Power"] > means["Medium-Power"] > \
             means["Low-Power"]

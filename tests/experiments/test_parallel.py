@@ -10,17 +10,19 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.policies import make_policy
 from repro.experiments.largescale import (
-    compare_policies,
+    PolicyAccumulator,
     compare_policies_streaming,
     format_table1,
-    table1,
+    simulate_rack,
+    table1_streaming,
 )
 from repro.experiments.parallel import (
     RackSpec,
     iter_rack_policy_results,
     resolve_workers,
-    run_rack_policy_jobs,
+    run_jobs,
 )
 from repro.traces.synthetic import (
     FleetConfig,
@@ -32,11 +34,27 @@ SMALL_CONFIG = FleetConfig(n_racks=2, weeks=2, seed=21, interval_s=900.0,
                            servers_per_rack_min=5, servers_per_rack_max=5,
                            p99_util_beta=(2.0, 2.0),
                            p99_util_range=(0.85, 0.95))
+SMALL_SPECS = [RackSpec(config=SMALL_CONFIG, rack_index=i)
+               for i in range(SMALL_CONFIG.n_racks)]
 
 
 @pytest.fixture(scope="module")
 def small_fleet():
     return generate_fleet(SMALL_CONFIG)
+
+
+def sweep(specs, names, **kwargs):
+    """The sweep's stream as a list of (rack_slot, policy, result)."""
+    return list(iter_rack_policy_results(specs, names, **kwargs))
+
+
+def driver_results(fleet, names):
+    """The oracle: every policy simulated in the driver over the
+    driver-materialized racks, in rack-major order."""
+    return [(rack_slot, name,
+             simulate_rack(rack, make_policy(name, len(rack.servers))))
+            for rack_slot, rack in enumerate(fleet.racks)
+            for name in names]
 
 
 class TestResolveWorkers:
@@ -74,43 +92,81 @@ class TestResolveWorkers:
 
 class TestSerialSharding:
     def test_results_keyed_by_rack_and_policy(self, small_fleet):
-        merged = run_rack_policy_jobs(
-            small_fleet.racks, ("Central", "SmartOClock"), workers=1)
-        assert len(merged) == len(small_fleet.racks)
-        for rack, per_policy in zip(small_fleet.racks, merged):
-            assert set(per_policy) == {"Central", "SmartOClock"}
-            for result in per_policy.values():
-                assert result.rack_id == rack.rack_id
+        results = sweep(SMALL_SPECS, ("Central", "SmartOClock"), workers=1)
+        assert [(slot, name) for slot, name, _ in results] == [
+            (0, "Central"), (0, "SmartOClock"),
+            (1, "Central"), (1, "SmartOClock")]
+        for rack_slot, _name, result in results:
+            assert result.rack_id == small_fleet.racks[rack_slot].rack_id
 
-    def test_bad_inflight_rejected(self, small_fleet):
+    def test_bad_inflight_rejected(self):
         with pytest.raises(ValueError, match="max_inflight"):
-            run_rack_policy_jobs(small_fleet.racks, ("Central",),
-                                 workers=2, max_inflight=0)
+            sweep(SMALL_SPECS, ("Central",), workers=2, max_inflight=0)
+
+
+class TestInflightWindow:
+    """The driver reads payloads lazily: ``max_inflight`` bounds what it
+    has read, whatever the completion order, so a slow head job must not
+    let later jobs pile up."""
+
+    def test_serial_path_reads_payloads_lazily(self):
+        read = []
+
+        def payloads():
+            for x in range(5):
+                read.append(x)
+                yield x
+
+        stream = run_jobs(abs, payloads(), workers=1)
+        assert next(stream) == 0
+        assert read == [0]
+
+    def test_slow_head_reads_no_more_than_the_window(self):
+        head = FleetConfig(n_racks=1, weeks=3, seed=3,
+                           servers_per_rack_min=40, servers_per_rack_max=40,
+                           p99_util_beta=(2.0, 2.0),
+                           p99_util_range=(0.88, 0.96))
+        tiny = FleetConfig(n_racks=40, weeks=2, seed=4, interval_s=1800.0,
+                           servers_per_rack_min=3, servers_per_rack_max=3)
+        read = 0
+
+        def specs():
+            nonlocal read
+            for config in (head, tiny):
+                for i in range(config.n_racks):
+                    read += 1
+                    yield RackSpec(config=config, rack_index=i)
+
+        stream = iter_rack_policy_results(specs(), ("SmartOClock",),
+                                          workers=2, max_inflight=2)
+        try:
+            rack_slot, _name, _result = next(stream)
+            assert rack_slot == 0
+            assert read <= 2
+        finally:
+            stream.close()
 
 
 class TestProcessPoolByteIdentity:
     """workers=N must reproduce workers=1 exactly — same counters, same
     floats, same rendered table — regardless of completion order."""
 
-    def test_jobs_identical(self, small_fleet):
-        serial = run_rack_policy_jobs(
-            small_fleet.racks, ("Central", "SmartOClock"), workers=1)
-        pooled = run_rack_policy_jobs(
-            small_fleet.racks, ("Central", "SmartOClock"), workers=2,
-            max_inflight=2)
+    def test_jobs_identical(self):
+        names = ("Central", "SmartOClock")
+        serial = sweep(SMALL_SPECS, names, workers=1)
+        pooled = sweep(SMALL_SPECS, names, workers=2, max_inflight=2)
         assert pooled == serial
 
-    def test_compare_policies_identical(self, small_fleet):
-        serial = compare_policies(
-            small_fleet, ("NoWarning", "SmartOClock"), workers=1)
-        pooled = compare_policies(
-            small_fleet, ("NoWarning", "SmartOClock"), workers=2)
+    def test_compare_policies_identical(self):
+        names = ("NoWarning", "SmartOClock")
+        serial = compare_policies_streaming(SMALL_CONFIG, names, workers=1)
+        pooled = compare_policies_streaming(SMALL_CONFIG, names, workers=2)
         assert pooled == serial
 
-    def test_table1_rendering_identical(self, small_fleet):
-        fleets = {"Tiny": small_fleet}
-        serial = table1(fleets, workers=1)
-        pooled = table1(fleets, workers=2)
+    def test_table1_rendering_identical(self):
+        configs = {"Tiny": SMALL_CONFIG}
+        serial = table1_streaming(configs, workers=1)
+        pooled = table1_streaming(configs, workers=2)
         assert pooled == serial
         assert format_table1(pooled) == format_table1(serial)
 
@@ -157,38 +213,38 @@ class TestSeedShardedIdentity:
     @pytest.mark.parametrize("max_inflight", [1, None])
     def test_worker_expansion_matches_driver(self, small_fleet, workers,
                                              max_inflight):
-        """Property test of ISSUE 6: sweeping RackSpecs (workers expand
-        the traces locally) equals sweeping the driver-materialized
-        racks, for every (workers, max_inflight) combination."""
+        """Property test of the seed-sharding contract: sweeping
+        RackSpecs (each job expands its trace locally) equals simulating
+        the driver-materialized racks, for every (workers, max_inflight)
+        combination."""
         names = ("Central", "SmartOClock")
-        specs = [RackSpec(config=SMALL_CONFIG, rack_index=i)
-                 for i in range(SMALL_CONFIG.n_racks)]
-        from_specs = run_rack_policy_jobs(specs, names, workers=workers,
-                                          max_inflight=max_inflight)
-        from_traces = run_rack_policy_jobs(small_fleet.racks, names,
-                                           workers=1)
-        assert from_specs == from_traces
+        from_specs = sweep(SMALL_SPECS, names, workers=workers,
+                           max_inflight=max_inflight)
+        assert from_specs == driver_results(small_fleet, names)
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_streaming_scores_identical(self, small_fleet, workers):
         """The online merge folds in submission-slot order: streaming
-        scores are byte-identical to the materialized serial path."""
+        scores are byte-identical to summing the driver's results in
+        rack order."""
         names = ("NoWarning", "SmartOClock")
-        serial = compare_policies(small_fleet, names, workers=1)
+        accs = {name: PolicyAccumulator(policy=name) for name in names}
+        for _slot, name, result in driver_results(small_fleet, names):
+            accs[name].add(result)
+        expected = {name: acc.score(None) for name, acc in accs.items()}
         streamed = compare_policies_streaming(SMALL_CONFIG, names,
                                               workers=workers,
                                               max_inflight=3)
-        assert streamed == serial
+        assert streamed == expected
 
 
 class TestFailFast:
     """A worker exception must surface promptly and cancel queued jobs
     instead of letting the rest of the grid run to completion."""
 
-    def test_serial_path_raises(self, small_fleet):
+    def test_serial_path_raises(self):
         with pytest.raises(KeyError, match="Bogus"):
-            run_rack_policy_jobs(small_fleet.racks, ("Central", "Bogus"),
-                                 workers=1)
+            sweep(SMALL_SPECS, ("Central", "Bogus"), workers=1)
 
     def test_pool_poisoned_policy_raises(self):
         """Poisoned policy on a multi-rack grid: the sweep dies on the
@@ -199,8 +255,7 @@ class TestFailFast:
         specs = [RackSpec(config=config, rack_index=i)
                  for i in range(config.n_racks)]
         with pytest.raises(KeyError, match="Bogus"):
-            run_rack_policy_jobs(specs, ("Bogus", "Central"), workers=2,
-                                 max_inflight=2)
+            sweep(specs, ("Bogus", "Central"), workers=2, max_inflight=2)
 
     def test_generator_raises_before_later_slots(self):
         """Consuming the stream: the error arrives as soon as its slot

@@ -1,8 +1,9 @@
 """CLI outputs pinned across commits.
 
 ``tests/golden/cli.json`` holds the sha256 of standard output and the
-exit code of six short ``repro`` runs, one per matched-run experiment
-family plus the cluster study and Table I.  Each case reruns through
+exit code of eight short ``repro`` runs, one per matched-run experiment
+family plus the cluster study and Table I, and Table I and recovery
+again through a two-worker pool (same digests as their serial runs).  Each case reruns through
 :func:`repro.cli.main` in-process and must reproduce both exactly, so a
 refactor that moves any reported number fails here.  Regenerate an entry
 only when a change means to move that result.

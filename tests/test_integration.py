@@ -158,15 +158,13 @@ class TestTraceToPolicyPipeline:
     def test_fleet_generation_to_policy_comparison(self):
         """Synthetic traces flow through templates, budgets, and the
         policy kernels without manual glue."""
-        from repro.experiments.largescale import compare_policies
-        from repro.traces.synthetic import FleetConfig, generate_fleet
-        fleet = generate_fleet(FleetConfig(
-            n_racks=1, weeks=2, seed=13, servers_per_rack_min=8,
-            servers_per_rack_max=8, p99_util_beta=(2.0, 2.0),
-            p99_util_range=(0.85, 0.95)))
-        scores = compare_policies(fleet,
-                                  policy_names=("Central", "NaiveOClock",
-                                                "SmartOClock"))
+        from repro.experiments.largescale import compare_policies_streaming
+        from repro.traces.synthetic import FleetConfig
+        scores = compare_policies_streaming(
+            FleetConfig(n_racks=1, weeks=2, seed=13, servers_per_rack_min=8,
+                        servers_per_rack_max=8, p99_util_beta=(2.0, 2.0),
+                        p99_util_range=(0.85, 0.95)),
+            policy_names=("Central", "NaiveOClock", "SmartOClock"))
         assert scores["Central"].success_rate >= \
             scores["SmartOClock"].success_rate - 0.02
         assert scores["NaiveOClock"].cap_events >= \
