@@ -11,8 +11,8 @@ bounded fraction of the run, and records both numbers so
 ``latest_results.json`` tracks lint wall-clock across PRs.
 
 The CI gates are deliberately loose (shared runners are noisy); the
-committed numbers are the acceptance reference: ~0.9 s full, ~1.4x
-over the seed rule set for the 86-file tree.
+committed numbers are the acceptance reference: ~0.6 s full, ~1.4x
+over the seed rule set for the 94-file tree.
 """
 
 import time

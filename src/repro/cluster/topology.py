@@ -23,6 +23,7 @@ from typing import Callable, Iterator, Optional
 
 from repro.cluster.frequency import FrequencyPlan
 from repro.cluster.power import PowerModel
+from repro.sim.fold import MIN_CLOSED_FORM_RUN, repeat_add
 
 __all__ = ["Core", "VirtualMachine", "Server", "Rack", "Datacenter"]
 
@@ -89,8 +90,9 @@ class Core:
 
         The operating point is constant across the pending window (any
         change flushes first), so the per-tick increments are hoisted;
-        the left fold itself is replayed add-by-add to stay bit-identical
-        with the eager per-tick loop.
+        the left fold returns what the eager per-tick loop's adds return,
+        bit for bit: short runs replay them one by one, longer ones take
+        the closed form of :func:`repro.sim.fold.repeat_add`.
         """
         eff = self.effective_utilization(vm_utilization)
         overclocked = plan.is_overclocked(self._freq_ghz)
@@ -98,10 +100,16 @@ class Core:
         oc = self._overclock_seconds
         for dt, count in runs:
             inc = eff * dt
-            for _ in itertools.repeat(None, int(count)):
-                busy += inc
+            n = int(count)
+            if n < MIN_CLOSED_FORM_RUN:
+                for _ in itertools.repeat(None, n):
+                    busy += inc
+                    if overclocked:
+                        oc += dt
+            else:
+                busy = repeat_add(busy, inc, n)
                 if overclocked:
-                    oc += dt
+                    oc = repeat_add(oc, dt, n)
         self._busy_seconds = busy
         self._overclock_seconds = oc
 
@@ -119,8 +127,9 @@ class Core:
             return
         server._flush_accrual()
         before = server._core_watts(self)
+        was_overclocked = server._counts_as_overclocked(self)
         self._freq_ghz = value
-        server._apply_core_delta(server._core_watts(self) - before)
+        server._apply_core_change(self, before, was_overclocked)
 
     @property
     def vm_id(self) -> Optional[int]:
@@ -136,8 +145,9 @@ class Core:
             return
         server._flush_accrual()
         before = server._core_watts(self)
+        was_overclocked = server._counts_as_overclocked(self)
         self._vm_id = value
-        server._apply_core_delta(server._core_watts(self) - before)
+        server._apply_core_change(self, before, was_overclocked)
 
     @property
     def utilization_override(self) -> Optional[float]:
@@ -257,6 +267,9 @@ class Server:
         # VMs currently below the plan's turbo frequency; lets the rack
         # restore step skip entirely when nothing needs stepping up.
         self._below_turbo_vms = 0
+        # Cores both allocated and overclocked, maintained by
+        # ``_apply_core_change``; a new server's cores are all free.
+        self._overclocked_cores = 0
         plan = power_model.plan
         self.cores = [Core(i, plan.turbo_ghz)
                       for i in range(power_model.cores)]
@@ -318,6 +331,19 @@ class Server:
             self._dynamic_watts += delta
             if self.rack is not None and not self._offline:
                 self.rack._apply_power_delta(delta)
+
+    def _counts_as_overclocked(self, core: Core) -> bool:
+        """Whether ``core`` counts in :meth:`overclocked_core_count`."""
+        return (core._vm_id is not None
+                and self.power_model.plan.is_overclocked(core._freq_ghz))
+
+    def _apply_core_change(self, core: Core, before_watts: float,
+                           was_overclocked: bool) -> None:
+        """Re-account one core after a frequency or VM-binding write: its
+        watt delta and its membership in the overclocked-core count."""
+        self._apply_core_delta(self._core_watts(core) - before_watts)
+        self._overclocked_cores += (self._counts_as_overclocked(core)
+                                    - was_overclocked)
 
     def _vm_utilization_changed(self, vm: VirtualMachine,
                                 utilization: float) -> None:
@@ -456,9 +482,9 @@ class Server:
                 if vm.freq_ghz is not None and plan.is_overclocked(vm.freq_ghz)]
 
     def overclocked_core_count(self) -> int:
-        plan = self.plan
-        return sum(1 for c in self.cores
-                   if c.allocated and plan.is_overclocked(c.freq_ghz))
+        """Allocated cores above turbo.  O(1): a counter the core
+        frequency and VM-binding setters keep current."""
+        return self._overclocked_cores
 
     def advance(self, dt: float) -> None:
         """Accrue ``dt`` seconds of busy/overclock time on allocated cores.

@@ -19,6 +19,7 @@ from itertools import repeat
 from typing import Callable, Optional
 
 from repro.reliability.aging import DEFAULT_AGING_MODEL, AgingModel
+from repro.sim.fold import MIN_CLOSED_FORM_RUN, repeat_add
 
 __all__ = ["CoreWearoutCounter", "EpochBudget", "OverclockBudgetPlanner"]
 
@@ -90,9 +91,10 @@ class CoreWearoutCounter:
         Bit-identical to calling :meth:`accumulate` ``count`` times with
         the same arguments: the per-tick increments are hoisted out of
         the loop (they depend only on the operating point, which is
-        constant across the run) and then folded in one at a time —
-        float addition does not reassociate, so the left fold must be
-        replayed, but each fold step is now just one add.
+        constant across the run).  Float addition does not reassociate,
+        so each accumulator gets the left fold's exact result: short runs
+        replay the adds one by one, longer ones take the closed form of
+        :func:`repro.sim.fold.repeat_add`.
         """
         if dt < 0:
             raise ValueError(f"dt must be >= 0: {dt}")
@@ -107,12 +109,19 @@ class CoreWearoutCounter:
         busy = self._busy_seconds
         oc = self._overclock_seconds
         wear = self._wear_seconds
-        for _ in repeat(None, count):
-            elapsed += dt
-            busy += busy_inc
+        if count < MIN_CLOSED_FORM_RUN:
+            for _ in repeat(None, count):
+                elapsed += dt
+                busy += busy_inc
+                if overclocked:
+                    oc += dt
+                wear += wear_inc
+        else:
+            elapsed = repeat_add(elapsed, dt, count)
+            busy = repeat_add(busy, busy_inc, count)
             if overclocked:
-                oc += dt
-            wear += wear_inc
+                oc = repeat_add(oc, dt, count)
+            wear = repeat_add(wear, wear_inc, count)
         self._elapsed_seconds = elapsed
         self._busy_seconds = busy
         self._overclock_seconds = oc

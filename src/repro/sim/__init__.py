@@ -2,9 +2,11 @@
 
 This package provides the simulation engine used by every experiment in the
 reproduction: an event queue with a virtual clock (:mod:`repro.sim.engine`),
-typed events and periodic processes (:mod:`repro.sim.events`), and metric
+typed events and periodic processes (:mod:`repro.sim.events`), metric
 collectors for percentiles, CDFs, RMSE and time-weighted averages
-(:mod:`repro.sim.metrics`).
+(:mod:`repro.sim.metrics`), and the exact closed form of a repeated float
+add that lazy accrual replays coalesced ticks through
+(:mod:`repro.sim.fold`).
 """
 
 from repro.sim.engine import Event, SimulationEngine, Process

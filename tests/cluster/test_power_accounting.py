@@ -202,3 +202,83 @@ def test_randomized_mutation_sequence_stays_in_sync(seed):
     for _ in range(400):
         rng.choice(ops)()
         assert_in_sync(dc)
+
+
+def overclocked_core_scan(server: Server) -> int:
+    """The O(cores) scan the maintained counter replaced: the reference."""
+    plan = server.plan
+    return sum(1 for core in server.cores
+               if core.allocated and plan.is_overclocked(core.freq_ghz))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_randomized_overclocked_core_count_matches_scan(seed):
+    """Every path that writes a core's frequency or VM binding — the
+    server API and the guest-side container writes — keeps
+    ``overclocked_core_count()`` equal to a full scan."""
+    rng = random.Random(seed)
+    server = Server("s0", DEFAULT_POWER_MODEL)
+    Rack("r0", 2000.0).add_server(server)
+    plan = server.plan
+    placed: list[VirtualMachine] = []
+    hosts: dict[int, ContainerHost] = {}
+    names = iter(range(10 ** 6))
+
+    def op_place():
+        n = rng.randint(1, 12)
+        if server.free_cores >= n:
+            vm = VirtualMachine(n, utilization=rng.random())
+            server.place_vm(vm)
+            placed.append(vm)
+
+    def op_remove():
+        if placed:
+            vm = placed.pop(rng.randrange(len(placed)))
+            hosts.pop(vm.vm_id, None)
+            server.remove_vm(vm)
+
+    def op_set_frequency():
+        if placed:
+            freq = rng.choice([plan.turbo_ghz, plan.overclock_max_ghz,
+                               rng.uniform(plan.base_ghz - 0.2,
+                                           plan.overclock_max_ghz + 0.2)])
+            server.set_vm_frequency(rng.choice(placed), freq)
+
+    def op_reassign():
+        # Container hosts keep their (now stale) cores: a later boost
+        # then writes the frequency of a free or foreign core.
+        if placed:
+            vm = rng.choice(placed)
+            pool = [c for c in server.cores
+                    if not c.allocated or c.vm_id == vm.vm_id]
+            server.reassign_vm_cores(vm, rng.sample(pool, vm.n_cores))
+
+    def op_add_container():
+        if placed:
+            vm = rng.choice(placed)
+            host = hosts.setdefault(vm.vm_id, ContainerHost(vm, server))
+            free = len(host.free_cores())
+            if free:
+                host.add_container(Container(
+                    f"c{next(names)}", rng.randint(1, free),
+                    utilization=rng.random()))
+
+    def op_boost():
+        live = [(h, name) for h in hosts.values() for name in h.containers]
+        if live:
+            host, name = rng.choice(live)
+            if rng.random() < 0.6:
+                host.boost_container(name, rng.uniform(
+                    plan.turbo_ghz - 0.3, plan.overclock_max_ghz + 0.2))
+            else:
+                host.unboost_container(name)
+
+    def op_offline():
+        server.offline = not server.offline
+
+    ops = [op_place, op_place, op_remove, op_set_frequency, op_set_frequency,
+           op_reassign, op_add_container, op_boost, op_boost, op_offline]
+    for _ in range(500):
+        rng.choice(ops)()
+        assert server.overclocked_core_count() == overclocked_core_scan(
+            server)

@@ -9,8 +9,11 @@ Two regression families guard the perf work:
   control work.  The two must agree *field by field* — fault counters,
   grant/channel statistics, per-core busy/overclock seconds, per-sOA
   wear ledgers, and the full rack power trajectory — under composite
-  fault plans, because floats fold left: the lazy path must replay the
-  identical additions, not just an algebraically equal total.
+  fault plans, because floats fold left: the lazy path must return what
+  the identical additions return, not just an algebraically equal total.
+  The faulted runs flush every few ticks; the idle-heavy day replays
+  runs long enough to take the closed form of
+  :func:`repro.sim.fold.repeat_add`.
 
 * **Worker-count invariance** — the chaos sweep must be byte-identical
   (canonical-JSON report) across ``workers`` 1/2/4: seed-keyed merge,
@@ -20,6 +23,8 @@ Two regression families guard the perf work:
 import numpy as np
 import pytest
 
+import repro.cluster.topology
+import repro.reliability.wearout
 from repro.cluster.power import DEFAULT_POWER_MODEL
 from repro.cluster.topology import Datacenter, Rack, Server, VirtualMachine
 from repro.core.config import SmartOClockConfig
@@ -120,6 +125,59 @@ def _run_faulted_platform(seed: int, eager: bool, probe=None):
     }
 
 
+def _run_idle_day(eager: bool):
+    """One fault-free simulated day, 1 rack x 4 servers at 30 s ticks:
+    a service with a daily hot window on one server, the other three
+    loaded but control-idle, so their accrual and wear ledgers coalesce
+    into day-long runs."""
+    day_s, tick_s, vm_cores = 86400.0, 30.0, 24
+    hot_start_s, hot_end_s = 10 * 3600.0, 14 * 3600.0
+    # Utilizations whose ``u * dt`` is not a small integer: the sums of
+    # such increments round, so only the exact left fold matches.
+    idle_utils = (0.41, 0.53, 0.67)
+    busy_watts = _MODEL.uniform_server_watts(0.6, _MODEL.plan.turbo_ghz,
+                                             vm_cores)
+    rack = Rack("r0", 1.08 * 4 * busy_watts)
+    servers = [Server(f"s{i}", _MODEL) for i in range(4)]
+    for server in servers:
+        rack.add_server(server)
+    datacenter = Datacenter("idle-day")
+    datacenter.add_rack(rack)
+    platform = SmartOClockPlatform(
+        datacenter, SmartOClockConfig(control_interval_s=tick_s,
+                                      eager_accounting=eager))
+    vm = VirtualMachine(vm_cores, name="svc-vm", priority=10,
+                        workload="svc", utilization=0.46)
+    servers[0].place_vm(vm)
+    agent = platform.register_service(
+        "svc", metrics_policy=MetricsTriggerPolicy(
+            start_fraction=0.7, stop_fraction=0.2, consecutive=2))
+    platform.attach_vm("svc", vm,
+                       target_freq_ghz=_MODEL.plan.overclock_max_ghz,
+                       priority=10)
+    for i, util in enumerate(idle_utils, start=1):
+        servers[i].place_vm(VirtualMachine(vm_cores, name=f"idle{i}",
+                                           utilization=util))
+
+    power_trajectory = []
+    for i in range(int(day_s / tick_s)):
+        now = i * tick_s
+        hot = hot_start_s <= now < hot_end_s
+        vm.set_utilization(0.77 if hot else 0.46)
+        agent.observe(now, 8.0 if hot else 2.0, _SLO_MS)
+        platform.tick(now, tick_s)
+        power_trajectory.append(rack.power_watts())
+    return {
+        "grant_statistics": platform.grant_statistics(),
+        "power_trajectory": power_trajectory,
+        "cores": [(core.busy_seconds, core.overclock_seconds)
+                  for server in servers for core in server.cores],
+        "wear": [counter.state_dict()
+                 for soa in platform.soas.values()
+                 for counter in soa.wear_counters],
+    }
+
+
 class TestEagerVsLazy:
     @pytest.mark.parametrize("seed", [0, 7, 23])
     def test_faulted_run_matches_field_by_field(self, seed):
@@ -150,6 +208,31 @@ class TestEagerVsLazy:
         for key in undisturbed:
             assert probed[key] == undisturbed[key], \
                 f"mid-run reads perturbed {key}"
+
+    def test_idle_heavy_day_matches_through_the_closed_form(
+            self, monkeypatch):
+        calls = {"topology": 0, "wearout": 0}
+
+        def counting(site, kernel):
+            def wrapper(acc, inc, n):
+                calls[site] += 1
+                return kernel(acc, inc, n)
+            return wrapper
+
+        for site, module in (("topology", repro.cluster.topology),
+                             ("wearout", repro.reliability.wearout)):
+            monkeypatch.setattr(module, "repeat_add",
+                                counting(site, module.repeat_add))
+        eager = _run_idle_day(eager=True)
+        assert calls == {"topology": 0, "wearout": 0}
+        lazy = _run_idle_day(eager=False)
+        # Both replay sites took the closed form, not only the loop.
+        assert calls["topology"] > 0 and calls["wearout"] > 0
+        assert any(busy > 0 for busy, _ in eager["cores"])
+        assert any(oc > 0 for _, oc in eager["cores"])
+        for key in eager:
+            assert lazy[key] == eager[key], \
+                f"eager/lazy diverged on {key}"
 
     def test_eager_flag_defaults_off(self):
         assert SmartOClockConfig().eager_accounting is False

@@ -10,6 +10,7 @@ from repro.reliability.wearout import (
     EpochBudget,
     OverclockBudgetPlanner,
 )
+from repro.sim.fold import MIN_CLOSED_FORM_RUN
 
 WEEK = 7 * 86400.0
 V_REF = DEFAULT_AGING_MODEL.reference_volts
@@ -42,6 +43,30 @@ class TestCoreWearoutCounter:
     def test_negative_dt_rejected(self):
         with pytest.raises(ValueError):
             CoreWearoutCounter().accumulate(-1.0, 0.5, V_REF)
+
+    @given(warm=st.floats(0.0, 1e6),
+           dt=st.floats(0.0, 3600.0),
+           utilization=st.floats(0.0, 1.0),
+           volts=st.sampled_from([0.9, V_REF, 1.2, 1.45, 1.75]),
+           count=st.one_of(st.integers(0, 2 * MIN_CLOSED_FORM_RUN),
+                           st.integers(MIN_CLOSED_FORM_RUN, 20000)))
+    @settings(max_examples=120, deadline=None)
+    def test_accumulate_run_matches_repeated_accumulate(
+            self, warm, dt, utilization, volts, count):
+        """Runs on both sides of the closed-form cutoff equal ``count``
+        single-tick calls on every accumulator, bit for bit."""
+        run = CoreWearoutCounter()
+        ticks = CoreWearoutCounter()
+        for counter in (run, ticks):
+            counter.accumulate(warm, 0.5, V_REF)
+        run.accumulate_run(dt, utilization, volts, count)
+        for _ in range(count):
+            ticks.accumulate(dt, utilization, volts)
+        assert run.state_dict() == ticks.state_dict()
+
+    def test_accumulate_run_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            CoreWearoutCounter().accumulate_run(1.0, 0.5, V_REF, -1)
 
 
 class TestEpochBudget:

@@ -1,0 +1,113 @@
+"""The closed-form repeated add must equal the plain left fold bit for bit.
+
+:func:`repro.sim.fold.repeat_add` replaces ``n`` replayed ``acc += inc``
+adds in lazy accrual; every case here compares it against that loop —
+the reference — on the bit pattern of the result, so a sign-of-zero or
+last-ulp difference fails.
+"""
+
+import math
+import struct
+from itertools import repeat
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim.fold import MIN_CLOSED_FORM_RUN, repeat_add
+
+TINY = math.ulp(0.0)  # the smallest subnormal
+
+
+def left_fold(acc: float, inc: float, n: int) -> float:
+    for _ in repeat(None, n):
+        acc += inc
+    return acc
+
+
+def assert_bit_identical(acc: float, inc: float, n: int) -> None:
+    expected = struct.pack("<d", left_fold(acc, inc, n))
+    got = struct.pack("<d", repeat_add(acc, inc, n))
+    assert got == expected, f"acc={acc.hex()} inc={inc.hex()} n={n}"
+
+
+def below_binade_top(e: int, ulps: int) -> float:
+    """The float ``ulps`` steps below ``2**e``."""
+    acc = 2.0 ** e
+    for _ in range(ulps):
+        acc = math.nextafter(acc, 0.0)
+    return acc
+
+
+runs = st.integers(0, 2 * 10 ** 5)
+short_or_long = st.one_of(st.integers(0, 3 * MIN_CLOSED_FORM_RUN), runs)
+magnitudes = st.floats(0.0, 1e12, allow_nan=False, allow_infinity=False)
+
+
+class TestRepeatAdd:
+    @given(acc=st.sampled_from([0.0, -0.0]),
+           inc=st.one_of(magnitudes, st.sampled_from([0.0, -0.0, TINY])),
+           n=short_or_long)
+    @settings(max_examples=150, deadline=None)
+    def test_from_zero(self, acc, inc, n):
+        assert_bit_identical(acc, inc, n)
+
+    @given(acc=magnitudes.filter(lambda x: x > 0.0),
+           k=st.integers(0, 64), n=short_or_long)
+    @settings(max_examples=200, deadline=None)
+    def test_ties(self, acc, k, n):
+        # inc sits exactly halfway between two steps of acc's ulp grid.
+        assert_bit_identical(acc, (k + 0.5) * math.ulp(acc), n)
+
+    @given(e=st.integers(-60, 60), ulps=st.integers(1, 8),
+           k=st.integers(0, 6),
+           frac=st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+           n=st.integers(0, 3 * MIN_CLOSED_FORM_RUN))
+    @settings(max_examples=200, deadline=None)
+    def test_near_binade_top(self, e, ulps, k, frac, n):
+        acc = below_binade_top(e, ulps)
+        assert_bit_identical(acc, (k + frac) * math.ulp(acc), n)
+
+    @given(acc=magnitudes.filter(lambda x: x > 0.0),
+           frac=st.floats(0.0, 0.5, exclude_max=True), n=short_or_long)
+    @settings(max_examples=100, deadline=None)
+    def test_increment_below_half_an_ulp_never_moves(self, acc, frac, n):
+        inc = frac * math.ulp(acc)
+        assert_bit_identical(acc, inc, n)
+        assert repeat_add(acc, inc, n) == acc
+
+    @given(acc=st.integers(0, 2 ** 54), inc=st.integers(0, 2 ** 12),
+           n=short_or_long)
+    @settings(max_examples=100, deadline=None)
+    def test_subnormal_operands(self, acc, inc, n):
+        # Multiples of the smallest subnormal up to the first normal
+        # binades: the grid is uniform below 2**-1021.
+        assert_bit_identical(acc * TINY, inc * TINY, n)
+
+    @given(acc=magnitudes, inc=magnitudes, n=short_or_long)
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_magnitudes(self, acc, inc, n):
+        assert_bit_identical(acc, inc, n)
+
+    @given(acc=st.floats(0.0, 1e7), util=st.floats(0.0, 1.0),
+           dt=st.sampled_from([1.0, 10.0, 30.0, 60.0, 300.0]), n=runs)
+    @settings(max_examples=150, deadline=None)
+    def test_accrual_shaped_runs(self, acc, util, dt, n):
+        # The shape lazy accrual feeds it: seconds accumulators and
+        # ``utilization * dt`` increments over up to a week of ticks.
+        assert_bit_identical(acc, util * dt, n)
+
+    @pytest.mark.parametrize("acc, inc", [
+        (-1.0, 0.3), (5.0, -0.1), (math.inf, 1.0),
+        (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan),
+        (1e300, 1e298), (2.0 ** 1020, 2.0 ** 1000),
+    ])
+    def test_outside_the_domain_runs_the_loop(self, acc, inc):
+        for n in (0, 1, MIN_CLOSED_FORM_RUN, 5000):
+            assert_bit_identical(acc, inc, n)
+
+    @pytest.mark.parametrize("inc", [0.6 * 30.0, 0.37 * 30.0, 1e-3, 30.0])
+    def test_week_of_ticks_from_zero(self, inc):
+        assert_bit_identical(0.0, inc, 20160)
+        assert_bit_identical(0.0, inc, 2 * 10 ** 5)
+
