@@ -10,18 +10,24 @@ rules deselected (the seed rule set, which never triggers the lazy
 bounded fraction of the run, and records both numbers so
 ``latest_results.json`` tracks lint wall-clock across PRs.
 
+Both runs use the configuration ``repro lint src`` and CI load: the
+built-in defaults merged with the repo's ``[tool.oclint]`` table (nine
+hot-path modules, the extra power fields and worker entrypoints).
+
 The CI gates are deliberately loose (shared runners are noisy); the
-committed numbers are the acceptance reference: ~0.6 s full, ~1.4x
-over the seed rule set for the 94-file tree.
+committed numbers are the acceptance reference: ~0.6 s full, ~1.2x
+over the seed rule set for the 90-file tree.
 """
 
+import dataclasses
 import time
 from pathlib import Path
 
-from repro.analysis import LintConfig, lint_paths
+from repro.analysis import LintConfig, lint_paths, load_config
 from repro.analysis.registry import all_rules
 
-REPO_SRC = Path(__file__).resolve().parents[1] / "src"
+REPO = Path(__file__).resolve().parents[1]
+REPO_SRC = REPO / "src"
 EFFECT_RULES = frozenset(
     {"purity-stateless-tick", "warning-hook-inert", "spawn-purity"})
 
@@ -47,11 +53,13 @@ def test_lint_wall_clock_and_effect_pass_overhead(record_result):
     seed_rules = frozenset(set(all_rules()) - EFFECT_RULES)
     assert EFFECT_RULES <= set(all_rules())
 
-    # Warm import/bytecode caches so both configs time the same work.
-    lint_paths([REPO_SRC], LintConfig())
+    config = load_config(REPO / "pyproject.toml")
 
-    full_s, files = _best_of(3, LintConfig())
-    seed_s, _ = _best_of(3, LintConfig(select=seed_rules))
+    # Warm import/bytecode caches so both configs time the same work.
+    lint_paths([REPO_SRC], config)
+
+    full_s, files = _best_of(3, config)
+    seed_s, _ = _best_of(3, dataclasses.replace(config, select=seed_rules))
 
     overhead = full_s / seed_s if seed_s else 1.0
     print(f"\nrepro lint src ({files} files): full {full_s:.3f} s, "

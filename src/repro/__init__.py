@@ -8,7 +8,8 @@ paper's evaluation depends on:
   admission control, heterogeneous budgets, decentralized enforcement);
 * :mod:`repro.cluster` — datacenter topology, DVFS/power models, rack
   power capping;
-* :mod:`repro.sim` — discrete-event engine and metric collectors;
+* :mod:`repro.sim` — metric primitives, the closed-form accrual fold
+  and the per-tick invariant monitor;
 * :mod:`repro.workloads` — microservice/ML/WebConf workload models;
 * :mod:`repro.traces` — synthetic production-trace generation;
 * :mod:`repro.prediction` — power-template prediction;

@@ -15,13 +15,13 @@ invariants — the ones the test suite cannot see because they only break
   accounting methods; cross-object writes to the durable backing
   fields persist state the control plane never computed.
 * ``nondeterminism`` — all randomness must flow from an explicitly
-  seeded :class:`numpy.random.Generator` and simulated time from the
-  event engine, never from the wall clock or global RNG state.
+  seeded :class:`numpy.random.Generator` and time from the simulated
+  clock, never from the wall clock or global RNG state.
 * ``unit-mismatch`` — GHz/MHz/watts/seconds live in plain floats;
   the only guard against unit mixing is the ``_ghz``/``_watts``/…
   naming convention, which this rule checks at call sites.
-* ``handler-hygiene`` — event handlers must not share mutable default
-  arguments or reach into the engine's private event calendar.
+* ``handler-hygiene`` — no function shares a mutable default argument
+  across calls.
 * ``untyped-def`` — every function is fully annotated (the local
   equivalent of mypy's ``disallow_untyped_defs`` gate).
 

@@ -15,7 +15,6 @@ from typing import Optional
 
 __all__ = [
     "DEFAULT_DURABLE_FIELDS",
-    "DEFAULT_ENGINE_INTERNALS",
     "DEFAULT_HOT_PATH_MODULES",
     "DEFAULT_POLICY_BASE_CLASSES",
     "DEFAULT_POWER_FIELDS",
@@ -61,22 +60,6 @@ DEFAULT_DURABLE_FIELDS = frozenset({
     "_wear_seconds",
 })
 
-# Private state of repro.sim.engine.SimulationEngine.  Handlers must go
-# through schedule()/cancel()/now — direct event-calendar access breaks
-# the tombstone/ordering invariants.
-DEFAULT_ENGINE_INTERNALS = frozenset({
-    "_queue",
-    "_sequence",
-    "_events_processed",
-    "_running",
-    "_stopped",
-    "_now",
-})
-
-# Module path suffixes where engine internals are legitimately touched
-# (the engine implementation itself).
-DEFAULT_ENGINE_MODULES = ("sim/engine.py",)
-
 # Module path suffixes tagged *hot path*: per-tick inner loops whose
 # throughput the vectorized fast path depends on.  The
 # tick-loop-allocation rule flags per-iteration NumPy allocations there.
@@ -102,19 +85,14 @@ class LintConfig:
     """Engine-wide configuration passed to every rule.
 
     ``select`` of ``None`` means "all registered rules"; ``ignore`` is
-    subtracted afterwards.  ``determinism_modules`` of ``None`` applies
-    the nondeterminism rule everywhere (the repo-wide convention);
-    a tuple restricts it to modules whose path contains any entry.
+    subtracted afterwards.
     """
 
     select: Optional[frozenset[str]] = None
     ignore: frozenset[str] = frozenset()
     power_fields: frozenset[str] = DEFAULT_POWER_FIELDS
     durable_fields: frozenset[str] = DEFAULT_DURABLE_FIELDS
-    engine_internals: frozenset[str] = DEFAULT_ENGINE_INTERNALS
-    engine_modules: tuple[str, ...] = DEFAULT_ENGINE_MODULES
     hot_path_modules: tuple[str, ...] = DEFAULT_HOT_PATH_MODULES
-    determinism_modules: Optional[tuple[str, ...]] = None
     policy_base_classes: frozenset[str] = DEFAULT_POLICY_BASE_CLASSES
     worker_entrypoints: frozenset[str] = DEFAULT_WORKER_ENTRYPOINTS
 
@@ -165,18 +143,9 @@ def load_config(pyproject: Optional[Path] = None,
     if "durable-fields" in section:
         updates["durable_fields"] = config.durable_fields | frozenset(
             _as_str_tuple(section["durable-fields"], "durable-fields"))
-    if "engine-internals" in section:
-        updates["engine_internals"] = config.engine_internals | frozenset(
-            _as_str_tuple(section["engine-internals"], "engine-internals"))
-    if "engine-modules" in section:
-        updates["engine_modules"] = _as_str_tuple(
-            section["engine-modules"], "engine-modules")
     if "hot-path-modules" in section:
         updates["hot_path_modules"] = _as_str_tuple(
             section["hot-path-modules"], "hot-path-modules")
-    if "determinism-modules" in section:
-        updates["determinism_modules"] = _as_str_tuple(
-            section["determinism-modules"], "determinism-modules")
     if "policy-base-classes" in section:
         updates["policy_base_classes"] = config.policy_base_classes | \
             frozenset(_as_str_tuple(section["policy-base-classes"],

@@ -63,7 +63,7 @@ def _signature(node: FunctionNode, module: str, qualname: str,
 def module_name_for(path: str) -> str:
     """Dotted module name for a file path (best effort).
 
-    ``src/repro/sim/engine.py`` → ``repro.sim.engine``; paths outside a
+    ``src/repro/sim/fold.py`` → ``repro.sim.fold``; paths outside a
     ``src`` root fall back to their package-relative tail so fixture
     files still index consistently.
     """

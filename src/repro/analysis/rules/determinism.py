@@ -3,16 +3,17 @@
 The reproduction's convention (set by :mod:`repro.traces.synthetic`):
 every source of randomness is an explicitly seeded
 ``np.random.Generator`` threaded through as an ``rng`` parameter, and
-simulated time comes from the event engine's virtual clock.  Wall-clock
+time comes from the simulated clock (the platform's tick time or the
+trace's sample times).  The rule applies to every module.  Wall-clock
 reads (``time.time()``, ``datetime.now()``), the stdlib ``random``
 module, numpy's *global* RNG (``np.random.random()`` …), and unseeded
 ``np.random.default_rng()`` all make runs irreproducible — which
 invalidates the cache-vs-recompute equivalence tests and every
 benchmark comparison.
 
-The rule resolves names through the module's import table, so an
-``engine.now`` property or a local function named ``time`` is not
-confused with the stdlib modules.
+The rule resolves names through the module's import table, so a
+``now`` parameter or a local function named ``time`` is not confused
+with the stdlib modules.
 """
 
 from __future__ import annotations
@@ -49,9 +50,6 @@ class NondeterminismRule(Rule):
 
     def check(self, ctx: ModuleContext, index: ProjectIndex,
               config: LintConfig) -> Iterator[Diagnostic]:
-        scope = config.determinism_modules
-        if scope is not None and not any(part in ctx.path for part in scope):
-            return
         aliases = ctx.module_aliases
         imported = ctx.imported_names
         for node in ctx.nodes_of_type(ast.Call):
@@ -79,8 +77,8 @@ def classify_nondeterminism(
             return None
         module, original = origin
         if module == "time" and original in _WALL_CLOCK_FUNCS:
-            return (f"wall-clock call time.{original}(); simulated time "
-                    f"must come from the engine clock")
+            return (f"wall-clock call time.{original}(); time must "
+                    f"come from the simulated clock")
         if module == "random":
             return (f"stdlib random.{original}() uses hidden global "
                     f"state; use a seeded np.random.Generator")
@@ -99,8 +97,8 @@ def classify_nondeterminism(
     if isinstance(base, ast.Name):
         module = aliases.get(base.id)
         if module == "time" and func.attr in _WALL_CLOCK_FUNCS:
-            return (f"wall-clock call time.{func.attr}(); simulated time "
-                    f"must come from the engine clock")
+            return (f"wall-clock call time.{func.attr}(); time must "
+                    f"come from the simulated clock")
         if module == "random":
             return (f"stdlib random.{func.attr}() uses hidden global "
                     f"state; use a seeded np.random.Generator")
@@ -110,7 +108,7 @@ def classify_nondeterminism(
                 origin[1] in _DATETIME_CLASSES and \
                 func.attr in _DATETIME_FUNCS:
             return (f"wall-clock call {origin[1]}.{func.attr}(); "
-                    f"simulated time must come from the engine clock")
+                    f"time must come from the simulated clock")
     # import datetime → datetime.datetime.now()
     if isinstance(base, ast.Attribute) and \
             isinstance(base.value, ast.Name) and \
@@ -118,7 +116,7 @@ def classify_nondeterminism(
             base.attr in _DATETIME_CLASSES and \
             func.attr in _DATETIME_FUNCS:
         return (f"wall-clock call datetime.{base.attr}.{func.attr}(); "
-                f"simulated time must come from the engine clock")
+                f"time must come from the simulated clock")
     # np.random.<attr>(...) — numpy global RNG or default_rng().
     if isinstance(base, ast.Attribute) and \
             isinstance(base.value, ast.Name) and \

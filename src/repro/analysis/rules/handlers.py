@@ -1,17 +1,9 @@
-"""Rule ``handler-hygiene``: event-handler safety.
+"""Rule ``handler-hygiene``: no mutable default arguments.
 
-Two hazards specific to code scheduled through
-:class:`repro.sim.engine.SimulationEngine`:
-
-* **Mutable default arguments.**  A handler with ``acc=[]`` shares one
-  list across every firing *and every simulation run in the process* —
-  state leaks between supposedly independent experiments.  Flagged for
-  every function because any function may end up as a callback.
-* **Engine-internal access.**  Reaching into the engine's private event
-  calendar (``engine._queue``, ``engine._now`` …) from outside the
-  engine module bypasses the tombstone and tie-breaking invariants that
-  make runs deterministic; handlers must use ``schedule()`` /
-  ``cancel()`` / ``now``.
+A function with ``acc=[]`` shares one list across every call *and every
+simulation run in the process* — state leaks between supposedly
+independent experiments.  Flagged for every function because any
+function may end up as a per-tick callback.
 """
 
 from __future__ import annotations
@@ -43,33 +35,19 @@ def _is_mutable_default(node: ast.expr) -> bool:
 @register
 class HandlerHygieneRule(Rule):
     rule_id = "handler-hygiene"
-    description = ("mutable default argument, or direct access to the "
-                   "simulation engine's private event calendar")
+    description = "mutable default argument"
 
     def check(self, ctx: ModuleContext, index: ProjectIndex,
               config: LintConfig) -> Iterator[Diagnostic]:
-        in_engine_module = ctx.path_matches(config.engine_modules)
-        for node in ctx.nodes_of_type(ast.FunctionDef, ast.AsyncFunctionDef,
-                                      ast.Attribute):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                args = node.args
-                defaults = list(args.defaults) + [
-                    d for d in args.kw_defaults if d is not None]
-                for default in defaults:
-                    if _is_mutable_default(default):
-                        yield self.diagnostic(
-                            ctx, default.lineno, default.col_offset,
-                            f"mutable default argument in '{node.name}'; "
-                            f"handlers fired repeatedly share it across "
-                            f"runs — default to None and allocate inside")
-            elif isinstance(node, ast.Attribute) and not in_engine_module:
-                if node.attr not in config.engine_internals:
-                    continue
-                base = node.value
-                if isinstance(base, ast.Name) and base.id == "self":
-                    continue
-                yield self.diagnostic(
-                    ctx, node.lineno, node.col_offset,
-                    f"direct access to engine internal '{node.attr}'; use "
-                    f"the public schedule()/cancel()/now API so event "
-                    f"ordering and tombstone invariants hold")
+        for node in ctx.nodes_of_type(ast.FunctionDef, ast.AsyncFunctionDef):
+            assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            args = node.args
+            defaults = list(args.defaults) + [
+                d for d in args.kw_defaults if d is not None]
+            for default in defaults:
+                if _is_mutable_default(default):
+                    yield self.diagnostic(
+                        ctx, default.lineno, default.col_offset,
+                        f"mutable default argument in '{node.name}'; "
+                        f"repeated calls share it across runs — default "
+                        f"to None and allocate inside")

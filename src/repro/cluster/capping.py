@@ -191,8 +191,8 @@ class RackPowerManager:
 
     Server agents subscribe with :meth:`on_warning` / :meth:`on_cap`.  The
     manager is sampled explicitly (``sample(now)``) by whatever drives time
-    (a :class:`~repro.sim.events.PeriodicTask` in the DES experiments, the
-    tick loop in the trace-driven simulator).
+    (:meth:`repro.core.platform.SmartOClockPlatform.tick`, or the baseline
+    environments' tick loop in :mod:`repro.experiments.cluster`).
     """
 
     def __init__(self, rack: Rack, *, warning_fraction: float = 0.95,

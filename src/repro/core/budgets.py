@@ -29,8 +29,7 @@ import numpy as np
 
 from repro.core.types import ServerProfileReport
 
-__all__ = ["BudgetAssignment", "compute_heterogeneous_budgets",
-           "fair_share_budgets"]
+__all__ = ["BudgetAssignment", "compute_heterogeneous_budgets"]
 
 
 #: Valid ``out_of_horizon`` policies for :meth:`BudgetAssignment.budget_at`.
@@ -188,21 +187,3 @@ def compute_heterogeneous_budgets(
     return BudgetAssignment(
         slot_s=slot_s,
         budgets={p.server_id: budgets[i] for i, p in enumerate(profiles)})
-
-
-def fair_share_budgets(rack_limit_watts: float,
-                       profiles: list[ServerProfileReport]) -> BudgetAssignment:
-    """The even split the paper's characterization argues against (§III Q4).
-
-    Used as the NaiveOClock capping behaviour and in ablation benches.
-    """
-    if rack_limit_watts <= 0:
-        raise ValueError(f"rack limit must be > 0: {rack_limit_watts}")
-    if not profiles:
-        raise ValueError("need at least one server profile")
-    n_slots = len(profiles[0].regular_power_watts)
-    share = rack_limit_watts / len(profiles)
-    series = np.full(n_slots, share)
-    return BudgetAssignment(
-        slot_s=profiles[0].slot_s,
-        budgets={p.server_id: series.copy() for p in profiles})

@@ -114,8 +114,9 @@ class TemplateStore:
         """Copies of the retained ``(times, values)`` telemetry arrays.
 
         This is the raw material for auxiliary predictors built over the
-        same trailing window (e.g.
-        :class:`repro.prediction.quantiles.IntervalPredictor`)."""
+        same trailing window (the sOA fits a
+        :class:`repro.prediction.quantiles.DailyQuantileTemplate` to it
+        for its high-quantile profile series)."""
         return np.array(self._times), np.array(self._values)
 
     def predict_or(self, t: float, default: float) -> float:

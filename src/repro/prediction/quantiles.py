@@ -1,37 +1,29 @@
-"""Quantile templates and prediction intervals (oversubscription layer).
+"""Quantile templates for the oversubscription layer.
 
 The DailyMed/DailyMax templates answer "what will power *typically* be";
-oversubscription (ROADMAP item 2, after Kumbhare et al.'s
-prediction-based oversubscription) needs the *distribution*: admit extra
-load only when a high quantile of predicted rack peak plus a confidence
-margin still clears the limit.
+oversubscription (after Kumbhare et al.'s prediction-based
+oversubscription) needs the *distribution*: admit extra load only when a
+high quantile of predicted rack peak plus a confidence margin still
+clears the limit.
 
-Two pieces:
-
-* :class:`DailyQuantileTemplate` — the per-slot-of-day aggregation of
-  the Daily* templates, but aggregating each slot's history samples to
-  an arbitrary empirical quantile instead of median/max.  ``q=0.5``
-  reproduces DailyMed's weekday series exactly when slots hold an odd
-  number of samples (both conventions then select the middle sample);
-  the project-wide interpolation convention is
-  :func:`repro.sim.metrics.empirical_quantile` (numpy's inclusive
-  linear method).
-* :class:`IntervalPredictor` — a prediction-interval wrapper over a
-  :class:`~repro.prediction.predictor.TemplateStore`'s retained
-  history: one mid-quantile template and one high-quantile template
-  built from the same samples, answering ``interval(t)`` with
-  ``lo <= mid <= hi`` (quantile monotonicity) for margin math.
+:class:`DailyQuantileTemplate` is the per-slot-of-day aggregation of the
+Daily* templates, but aggregating each slot's history samples to an
+arbitrary empirical quantile instead of median/max.  ``q=0.5``
+reproduces DailyMed's weekday series exactly when slots hold an odd
+number of samples (both conventions then select the middle sample); the
+project-wide interpolation convention is
+:func:`repro.sim.metrics.empirical_quantile` (numpy's inclusive linear
+method).  The sOA fits one over its retained telemetry for its
+high-quantile profile series, and the ``SmartOClock+OSub`` trace policy
+fits one per server row.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from repro.prediction.predictor import TemplateStore
 from repro.prediction.templates import (
     DailyFit,
     _DailyAggregateTemplate,
@@ -40,8 +32,6 @@ from repro.prediction.templates import (
 
 __all__ = [
     "DailyQuantileTemplate",
-    "PredictionInterval",
-    "IntervalPredictor",
 ]
 
 
@@ -83,80 +73,3 @@ def _fit_quantile(times: np.ndarray, values: np.ndarray,
                   q: float) -> DailyFit:
     reduce = functools.partial(np.quantile, q=q)
     return fit_daily(times, values, reduce, fill=reduce)
-
-
-@dataclass(frozen=True)
-class PredictionInterval:
-    """A (lo, mid, hi) quantile triple for one prediction time."""
-
-    lo: float
-    mid: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (self.lo <= self.mid <= self.hi):
-            raise ValueError(
-                f"interval must be ordered: lo={self.lo} mid={self.mid} "
-                f"hi={self.hi}")
-
-    @property
-    def spread(self) -> float:
-        """Upper half-width ``hi - mid``: the margin-math ingredient."""
-        return self.hi - self.mid
-
-
-class IntervalPredictor:
-    """Quantile prediction intervals over a template store's history.
-
-    Builds three :class:`DailyQuantileTemplate` series — ``q_lo``,
-    ``q_mid`` and ``q_hi`` — from the store's *retained* telemetry, so
-    the interval tightens/widens as history accumulates exactly like
-    the store's own template does.  Call :meth:`recompute` whenever the
-    underlying store recomputes (weekly gOA cadence).
-    """
-
-    def __init__(self, store: TemplateStore, *, q_lo: float = 0.05,
-                 q_mid: float = 0.5, q_hi: float = 0.95) -> None:
-        q_lo, q_mid, q_hi = (_validate_q(q_lo), _validate_q(q_mid),
-                             _validate_q(q_hi))
-        if not q_lo <= q_mid <= q_hi:
-            raise ValueError(
-                f"quantiles must be ordered: {q_lo} <= {q_mid} <= {q_hi}")
-        self.store = store
-        self.q_lo = q_lo
-        self.q_mid = q_mid
-        self.q_hi = q_hi
-        self._templates: tuple[DailyQuantileTemplate, ...] | None = None
-
-    @property
-    def has_templates(self) -> bool:
-        return self._templates is not None
-
-    def recompute(self) -> None:
-        """Rebuild the three quantile templates from retained history."""
-        times, values = self.store.history()
-        if len(times) < 2:
-            raise ValueError("not enough history to build interval templates")
-        self._templates = tuple(
-            DailyQuantileTemplate(times, values, q=q)
-            for q in (self.q_lo, self.q_mid, self.q_hi))
-
-    def _require(self) -> tuple[DailyQuantileTemplate, ...]:
-        if self._templates is None:
-            raise RuntimeError(
-                "no interval templates yet: call recompute() after "
-                "recording history")
-        return self._templates
-
-    def interval(self, t: float) -> PredictionInterval:
-        lo_t, mid_t, hi_t = self._require()
-        return PredictionInterval(lo=lo_t.predict(t), mid=mid_t.predict(t),
-                                  hi=hi_t.predict(t))
-
-    def interval_series(self, times: Sequence[float]
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized ``(lo, mid, hi)`` series; each array is bitwise the
-        per-element :meth:`interval` values."""
-        lo_t, mid_t, hi_t = self._require()
-        return (lo_t.predict_series(times), mid_t.predict_series(times),
-                hi_t.predict_series(times))

@@ -1,35 +1,18 @@
-"""Discrete-event simulation substrate.
+"""Simulation support shared by the experiments.
 
-This package provides the simulation engine used by every experiment in the
-reproduction: an event queue with a virtual clock (:mod:`repro.sim.engine`),
-typed events and periodic processes (:mod:`repro.sim.events`), metric
-collectors for percentiles, CDFs, RMSE and time-weighted averages
-(:mod:`repro.sim.metrics`), and the exact closed form of a repeated float
+The platform experiments are tick-driven (:mod:`repro.core.platform`)
+and the Table-I sweep is trace-driven
+(:mod:`repro.experiments.largescale`); this package holds what both
+lean on: metric primitives for percentiles, CDFs, RMSE and downtime
+(:mod:`repro.sim.metrics`), the exact closed form of a repeated float
 add that lazy accrual replays coalesced ticks through
-(:mod:`repro.sim.fold`).
+(:mod:`repro.sim.fold`), and the per-tick safety-invariant monitor
+(:mod:`repro.sim.monitors`).
 """
 
-from repro.sim.engine import Event, SimulationEngine, Process
-from repro.sim.events import PeriodicTask, at_times
-from repro.sim.metrics import (
-    Cdf,
-    Histogram,
-    RunningStats,
-    TimeWeightedValue,
-    percentile,
-    rmse,
-)
+from repro.sim.metrics import Cdf, rmse
 
 __all__ = [
-    "Event",
-    "SimulationEngine",
-    "Process",
-    "PeriodicTask",
-    "at_times",
     "Cdf",
-    "Histogram",
-    "RunningStats",
-    "TimeWeightedValue",
-    "percentile",
     "rmse",
 ]

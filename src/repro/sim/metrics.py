@@ -1,26 +1,20 @@
-"""Metric collection utilities shared by all experiments.
+"""Metric primitives shared by the experiments.
 
 The paper reports percentiles (P50/P99 latency, rack power percentiles),
-CDFs (Figs. 5, 8, 15), RMSE of power predictions, and time-weighted
-quantities (energy = time-weighted power).  This module implements each as
-a small, well-tested primitive.
+CDFs (Figs. 5, 8, 15), RMSE of power predictions and availability.  This
+module holds the one sample-quantile convention, RMSE, the empirical CDF
+and the downtime tracker the recovery experiments account outages with.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "empirical_quantile",
-    "percentile",
     "rmse",
-    "mean_absolute_error",
-    "RunningStats",
-    "TimeWeightedValue",
-    "Histogram",
     "Cdf",
     "DowntimeTracker",
 ]
@@ -32,17 +26,15 @@ def empirical_quantile(values: Sequence[float], q: float) -> float:
     Inclusive linear interpolation (numpy's default ``linear`` method):
     the k-th of n sorted samples sits at rank ``(k - 1) / (n - 1)`` and
     quantiles interpolate linearly between adjacent samples.  Every
-    exact-sample quantile in the repo — :func:`percentile`,
-    :meth:`Cdf.value_at`,
+    exact-sample quantile in the repo — :meth:`Cdf.value_at`,
     :meth:`repro.workloads.queueing.SimulatedLatencies.quantile`, the
     per-slot aggregation in
     :class:`repro.prediction.quantiles.DailyQuantileTemplate` — reduces
     to this function, so admission decisions keyed off quantiles can
-    never disagree across layers on small samples.  (The two non-sample
-    estimators remain documented approximations of the same convention:
-    :meth:`Histogram.quantile` interpolates within fixed bins, and
-    ``experiments.cluster.LatencyAggregator.quantile_ms`` inverts an
-    analytic mixture CDF.)
+    never disagree across layers on small samples.  (The one non-sample
+    estimator, ``experiments.cluster.LatencyAggregator.quantile_ms``,
+    inverts an analytic mixture CDF and is a documented approximation of
+    the same convention.)
 
     ``q`` is in [0, 1].  Raises on an empty sequence: experiments must
     decide what an absent measurement means rather than silently get 0.
@@ -55,13 +47,6 @@ def empirical_quantile(values: Sequence[float], q: float) -> float:
     return float(np.quantile(arr, q))
 
 
-def percentile(values: Sequence[float], pct: float) -> float:
-    """:func:`empirical_quantile` on the [0, 100] percent scale."""
-    if not 0.0 <= pct <= 100.0:
-        raise ValueError(f"pct must be in [0, 100], got {pct}")
-    return empirical_quantile(values, pct / 100.0)
-
-
 def rmse(predicted: Sequence[float], actual: Sequence[float]) -> float:
     """Root mean squared error between two equal-length series."""
     pred = np.asarray(predicted, dtype=float)
@@ -72,177 +57,6 @@ def rmse(predicted: Sequence[float], actual: Sequence[float]) -> float:
     if pred.size == 0:
         raise ValueError("rmse of empty series is undefined")
     return float(np.sqrt(np.mean((pred - act) ** 2)))
-
-
-def mean_absolute_error(predicted: Sequence[float],
-                        actual: Sequence[float]) -> float:
-    """Mean absolute error between two equal-length series."""
-    pred = np.asarray(predicted, dtype=float)
-    act = np.asarray(actual, dtype=float)
-    if pred.shape != act.shape:
-        raise ValueError(
-            f"shape mismatch: predicted {pred.shape} vs actual {act.shape}")
-    if pred.size == 0:
-        raise ValueError("MAE of empty series is undefined")
-    return float(np.mean(np.abs(pred - act)))
-
-
-class RunningStats:
-    """Streaming count/mean/variance/min/max (Welford's algorithm).
-
-    Used for per-tick statistics where storing every sample would be
-    wasteful (e.g. per-request latencies are kept, but per-core frequencies
-    are summarized).
-    """
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-
-    def add(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        self._min = min(self._min, value)
-        self._max = max(self._max, value)
-
-    def extend(self, values: Iterable[float]) -> None:
-        for v in values:
-            self.add(v)
-
-    @property
-    def mean(self) -> float:
-        if self.count == 0:
-            raise ValueError("mean of empty stats is undefined")
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        """Population variance."""
-        if self.count == 0:
-            raise ValueError("variance of empty stats is undefined")
-        return self._m2 / self.count
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
-    def minimum(self) -> float:
-        if self.count == 0:
-            raise ValueError("min of empty stats is undefined")
-        return self._min
-
-    @property
-    def maximum(self) -> float:
-        if self.count == 0:
-            raise ValueError("max of empty stats is undefined")
-        return self._max
-
-
-class TimeWeightedValue:
-    """Integrate a piecewise-constant signal over simulated time.
-
-    Feeding it ``(t, value)`` updates lets us compute energy from power
-    (``integral`` with power in watts and time in seconds gives joules) and
-    time-weighted average utilization.
-    """
-
-    def __init__(self, start_time: float, initial_value: float = 0.0) -> None:
-        self._last_time = float(start_time)
-        self._last_value = float(initial_value)
-        self._integral = 0.0
-        self._elapsed = 0.0
-
-    def update(self, time: float, value: float) -> None:
-        """Record that the signal changed to ``value`` at ``time``."""
-        if time < self._last_time:
-            raise ValueError(
-                f"time went backwards: {time} < {self._last_time}")
-        dt = time - self._last_time
-        self._integral += self._last_value * dt
-        self._elapsed += dt
-        self._last_time = time
-        self._last_value = float(value)
-
-    def finish(self, time: float) -> None:
-        """Close the integration window at ``time`` (value unchanged)."""
-        self.update(time, self._last_value)
-
-    @property
-    def integral(self) -> float:
-        return self._integral
-
-    @property
-    def elapsed(self) -> float:
-        return self._elapsed
-
-    @property
-    def average(self) -> float:
-        if self._elapsed == 0:
-            raise ValueError("time-weighted average over zero elapsed time")
-        return self._integral / self._elapsed
-
-    @property
-    def current(self) -> float:
-        return self._last_value
-
-
-class Histogram:
-    """Fixed-bin histogram for bounded measurements.
-
-    Keeps exact counts per bin plus the raw extrema; percentile estimates
-    interpolate within bins.  Used where sample streams are too large to
-    keep (per-5-minute power samples across thousands of racks).
-    """
-
-    def __init__(self, low: float, high: float, bins: int = 1000) -> None:
-        if high <= low:
-            raise ValueError(f"need high > low, got [{low}, {high}]")
-        if bins < 1:
-            raise ValueError(f"need at least one bin, got {bins}")
-        self.low = float(low)
-        self.high = float(high)
-        self.bins = bins
-        self.counts = np.zeros(bins, dtype=np.int64)
-        self.total = 0
-        self._width = (self.high - self.low) / bins
-
-    def add(self, value: float) -> None:
-        idx = int((value - self.low) / self._width)
-        idx = max(0, min(self.bins - 1, idx))  # clamp out-of-range samples
-        self.counts[idx] += 1
-        self.total += 1
-
-    def extend(self, values: Iterable[float]) -> None:
-        arr = np.asarray(list(values), dtype=float)
-        if arr.size == 0:
-            return
-        idx = ((arr - self.low) / self._width).astype(np.int64)
-        np.clip(idx, 0, self.bins - 1, out=idx)
-        np.add.at(self.counts, idx, 1)
-        self.total += arr.size
-
-    def quantile(self, q: float) -> float:
-        """Estimate the q-quantile (q in [0, 1]) by bin interpolation."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"q must be in [0, 1], got {q}")
-        if self.total == 0:
-            raise ValueError("quantile of empty histogram is undefined")
-        target = q * self.total
-        cumulative = 0
-        for i, count in enumerate(self.counts):
-            if cumulative + count >= target:
-                # Linear interpolation within the bin.
-                inside = (target - cumulative) / count if count else 0.0
-                return self.low + (i + inside) * self._width
-            cumulative += count
-        return self.high
 
 
 class Cdf:

@@ -20,15 +20,6 @@ from repro.traces.synthetic import (
     generate_server_trace,
     rack_seed_sequence,
 )
-from repro.traces.io import load_rack_csv, save_rack_csv
-from repro.traces.stats import (
-    UtilizationStats,
-    headroom_fraction,
-    multiplexing_gain,
-    overclock_demand_stats,
-    utilization_stats,
-    week_over_week_rmse,
-)
 
 __all__ = [
     "ServerTrace",
@@ -42,12 +33,4 @@ __all__ = [
     "generate_rack",
     "generate_server_trace",
     "rack_seed_sequence",
-    "save_rack_csv",
-    "load_rack_csv",
-    "UtilizationStats",
-    "utilization_stats",
-    "week_over_week_rmse",
-    "headroom_fraction",
-    "multiplexing_gain",
-    "overclock_demand_stats",
 ]

@@ -1,11 +1,6 @@
-"""Known-bad fixture: mutable defaults and engine-internal access."""
+"""Known-bad fixture: a mutable default argument."""
 
 
 def accumulate(value: float, acc: list = []) -> list:   # line 4: handler-hygiene
     acc.append(value)
     return acc
-
-
-def sneaky_handler(engine: object) -> None:
-    engine._queue.append(None)                 # line 10: handler-hygiene
-    engine._now = 0.0                          # line 11: handler-hygiene

@@ -1,4 +1,4 @@
-"""Known-good fixture: None-default allocation, public engine API only."""
+"""Known-good fixture: None-default allocation."""
 
 from typing import Optional
 
@@ -8,11 +8,3 @@ def accumulate(value: float, acc: Optional[list] = None) -> list:
         acc = []
     acc.append(value)
     return acc
-
-
-class WellBehavedProcess:
-    def __init__(self) -> None:
-        self._queue: list = []     # its own _queue attribute: fine
-
-    def tick(self, engine: "WellBehavedProcess") -> None:
-        self._queue.append(engine)

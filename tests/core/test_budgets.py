@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.budgets import (
-    BudgetAssignment,
-    compute_heterogeneous_budgets,
-    fair_share_budgets,
-)
+from repro.core.budgets import BudgetAssignment, compute_heterogeneous_budgets
 from repro.core.types import ServerProfileReport
 
 
@@ -115,20 +111,6 @@ class TestHeterogeneousBudgets:
         assignment = compute_heterogeneous_budgets(limit, profiles, 9.5)
         for i in range(n):
             assert assignment.budget_at(f"s{i}", 0.0) >= regular[i][0] - 1e-9
-
-
-class TestFairShare:
-    def test_even_split(self):
-        profiles = [profile("a", [100.0], [5]), profile("b", [400.0], [0])]
-        assignment = fair_share_budgets(1000.0, profiles)
-        assert assignment.budget_at("a", 0.0) == 500.0
-        assert assignment.budget_at("b", 0.0) == 500.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            fair_share_budgets(0.0, [profile("a", [1.0], [0])])
-        with pytest.raises(ValueError):
-            fair_share_budgets(100.0, [])
 
 
 class TestBudgetAssignment:

@@ -1,14 +1,9 @@
-"""Tests for quantile templates and prediction intervals."""
+"""Tests for the per-slot quantile template."""
 
 import numpy as np
 import pytest
 
-from repro.prediction.predictor import TemplateStore
-from repro.prediction.quantiles import (
-    DailyQuantileTemplate,
-    IntervalPredictor,
-    PredictionInterval,
-)
+from repro.prediction.quantiles import DailyQuantileTemplate
 from repro.prediction.templates import (
     DailyMaxTemplate,
     DailyMedTemplate,
@@ -94,71 +89,3 @@ class TestDailyQuantileTemplate:
         for q in (-0.1, 1.5):
             with pytest.raises(ValueError, match="quantile"):
                 DailyQuantileTemplate(times, values, q=q)
-
-
-class TestPredictionInterval:
-    def test_spread(self):
-        iv = PredictionInterval(lo=1.0, mid=2.0, hi=5.0)
-        assert iv.spread == 3.0
-
-    def test_unordered_rejected(self):
-        with pytest.raises(ValueError, match="ordered"):
-            PredictionInterval(lo=2.0, mid=1.0, hi=5.0)
-        with pytest.raises(ValueError, match="ordered"):
-            PredictionInterval(lo=1.0, mid=6.0, hi=5.0)
-
-
-class TestIntervalPredictor:
-    def make_predictor(self, seed=0, **kwargs):
-        times, values = noisy_week(seed=seed, noise=20.0)
-        store = TemplateStore("DailyMed")
-        store.record_series(times, values)
-        predictor = IntervalPredictor(store, **kwargs)
-        predictor.recompute()
-        return predictor
-
-    def test_interval_ordered_everywhere(self):
-        predictor = self.make_predictor()
-        for t in WEEK + np.arange(0.0, 7 * DAY, 3600.0):
-            iv = predictor.interval(float(t))
-            assert iv.lo <= iv.mid <= iv.hi
-
-    def test_interval_series_matches_scalar(self):
-        predictor = self.make_predictor(seed=6)
-        probes = WEEK + np.arange(0.0, 2 * DAY, 1800.0)
-        lo, mid, hi = predictor.interval_series(probes)
-        for i, t in enumerate(probes):
-            iv = predictor.interval(float(t))
-            assert (lo[i], mid[i], hi[i]) == (iv.lo, iv.mid, iv.hi)
-
-    def test_requires_recompute(self):
-        store = TemplateStore()
-        times, values = noisy_week()
-        store.record_series(times, values)
-        predictor = IntervalPredictor(store)
-        with pytest.raises(RuntimeError, match="recompute"):
-            predictor.interval(0.0)
-
-    def test_insufficient_history_rejected(self):
-        store = TemplateStore()
-        store.record(0.0, 1.0)
-        with pytest.raises(ValueError, match="history"):
-            IntervalPredictor(store).recompute()
-
-    def test_unordered_quantiles_rejected(self):
-        store = TemplateStore()
-        with pytest.raises(ValueError, match="ordered"):
-            IntervalPredictor(store, q_lo=0.9, q_mid=0.5, q_hi=0.95)
-
-    def test_follows_store_trim_window(self):
-        # The interval templates are built from the store's *retained*
-        # history: old weeks trimmed from the store don't leak in.
-        long_times, long_values = noisy_week(seed=7, weeks=3)
-        store = TemplateStore("DailyMed", history_weeks=1)
-        store.record_series(long_times, long_values)
-        predictor = IntervalPredictor(store)
-        predictor.recompute()
-        times, values = store.history()
-        direct = DailyQuantileTemplate(times, values, q=0.95)
-        probe = float(long_times[-1] + 3600.0)
-        assert predictor.interval(probe).hi == direct.predict(probe)

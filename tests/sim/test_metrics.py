@@ -1,4 +1,4 @@
-"""Tests for metric collectors (percentiles, CDFs, RMSE, integrals)."""
+"""Tests for metric primitives (quantile convention, CDFs, RMSE)."""
 
 import math
 
@@ -7,41 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.metrics import (
-    Cdf,
-    Histogram,
-    RunningStats,
-    TimeWeightedValue,
-    empirical_quantile,
-    mean_absolute_error,
-    percentile,
-    rmse,
-)
-
-
-class TestPercentile:
-    def test_median_of_odd_list(self):
-        assert percentile([1, 2, 3], 50) == 2.0
-
-    def test_min_and_max(self):
-        values = [5.0, 1.0, 9.0]
-        assert percentile(values, 0) == 1.0
-        assert percentile(values, 100) == 9.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError, match="empty"):
-            percentile([], 50)
-
-    def test_out_of_range_pct_raises(self):
-        with pytest.raises(ValueError):
-            percentile([1.0], 101)
-        with pytest.raises(ValueError):
-            percentile([1.0], -1)
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
-    def test_matches_numpy(self, values):
-        assert percentile(values, 99) == pytest.approx(
-            float(np.percentile(values, 99)))
+from repro.sim.metrics import Cdf, empirical_quantile, rmse
 
 
 class TestRmse:
@@ -60,129 +26,6 @@ class TestRmse:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             rmse([], [])
-
-    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30))
-    def test_rmse_at_least_mae(self, values):
-        zeros = [0.0] * len(values)
-        assert rmse(values, zeros) >= mean_absolute_error(
-            values, zeros) - 1e-9
-
-
-class TestRunningStats:
-    def test_mean_and_count(self):
-        stats = RunningStats()
-        stats.extend([1.0, 2.0, 3.0, 4.0])
-        assert stats.count == 4
-        assert stats.mean == pytest.approx(2.5)
-
-    def test_variance_population(self):
-        stats = RunningStats()
-        stats.extend([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
-        assert stats.variance == pytest.approx(4.0)
-        assert stats.stddev == pytest.approx(2.0)
-
-    def test_min_max(self):
-        stats = RunningStats()
-        stats.extend([3.0, -1.0, 7.0])
-        assert stats.minimum == -1.0
-        assert stats.maximum == 7.0
-
-    def test_empty_raises(self):
-        stats = RunningStats()
-        with pytest.raises(ValueError):
-            _ = stats.mean
-        with pytest.raises(ValueError):
-            _ = stats.variance
-        with pytest.raises(ValueError):
-            _ = stats.minimum
-
-    @given(st.lists(st.floats(-1e4, 1e4), min_size=2, max_size=100))
-    @settings(max_examples=50)
-    def test_matches_numpy(self, values):
-        stats = RunningStats()
-        stats.extend(values)
-        assert stats.mean == pytest.approx(float(np.mean(values)),
-                                           rel=1e-9, abs=1e-6)
-        assert stats.variance == pytest.approx(float(np.var(values)),
-                                               rel=1e-6, abs=1e-6)
-
-
-class TestTimeWeightedValue:
-    def test_integral_of_constant(self):
-        tw = TimeWeightedValue(0.0, initial_value=5.0)
-        tw.finish(10.0)
-        assert tw.integral == pytest.approx(50.0)
-        assert tw.average == pytest.approx(5.0)
-
-    def test_piecewise_signal(self):
-        tw = TimeWeightedValue(0.0, initial_value=1.0)
-        tw.update(2.0, 3.0)   # 1.0 for 2s
-        tw.update(5.0, 0.0)   # 3.0 for 3s
-        tw.finish(10.0)       # 0.0 for 5s
-        assert tw.integral == pytest.approx(2.0 + 9.0 + 0.0)
-        assert tw.average == pytest.approx(11.0 / 10.0)
-
-    def test_time_going_backwards_raises(self):
-        tw = TimeWeightedValue(5.0)
-        with pytest.raises(ValueError, match="backwards"):
-            tw.update(4.0, 1.0)
-
-    def test_average_over_zero_time_raises(self):
-        tw = TimeWeightedValue(0.0)
-        with pytest.raises(ValueError):
-            _ = tw.average
-
-    def test_current_tracks_last_value(self):
-        tw = TimeWeightedValue(0.0, initial_value=2.0)
-        tw.update(1.0, 7.0)
-        assert tw.current == 7.0
-
-    def test_energy_semantics(self):
-        """Power in watts over seconds integrates to joules."""
-        tw = TimeWeightedValue(0.0, initial_value=250.0)
-        tw.update(3600.0, 300.0)
-        tw.finish(7200.0)
-        assert tw.integral == pytest.approx(250.0 * 3600 + 300.0 * 3600)
-
-
-class TestHistogram:
-    def test_quantile_of_uniform_fill(self):
-        hist = Histogram(0.0, 100.0, bins=100)
-        hist.extend(np.linspace(0.5, 99.5, 100))
-        assert hist.quantile(0.5) == pytest.approx(50.0, abs=2.0)
-        assert hist.quantile(0.99) == pytest.approx(99.0, abs=2.0)
-
-    def test_out_of_range_clamped(self):
-        hist = Histogram(0.0, 10.0, bins=10)
-        hist.add(-5.0)
-        hist.add(25.0)
-        assert hist.total == 2
-        assert 0.0 <= hist.quantile(0.5) <= 10.0
-
-    def test_empty_quantile_raises(self):
-        with pytest.raises(ValueError):
-            Histogram(0.0, 1.0).quantile(0.5)
-
-    def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram(5.0, 5.0)
-        with pytest.raises(ValueError):
-            Histogram(0.0, 1.0, bins=0)
-
-    def test_invalid_quantile(self):
-        hist = Histogram(0.0, 1.0)
-        hist.add(0.5)
-        with pytest.raises(ValueError):
-            hist.quantile(1.5)
-
-    def test_extend_matches_add(self):
-        h1 = Histogram(0.0, 10.0, bins=20)
-        h2 = Histogram(0.0, 10.0, bins=20)
-        values = [1.0, 2.5, 7.7, 9.9]
-        h1.extend(values)
-        for v in values:
-            h2.add(v)
-        assert np.array_equal(h1.counts, h2.counts)
 
 
 class TestCdf:
@@ -238,12 +81,6 @@ class TestQuantileConvention:
         assert empirical_quantile(values, q) == float(
             np.quantile(np.asarray(values, dtype=float), q))
 
-    @given(SAMPLES, st.floats(0.0, 100.0))
-    @settings(max_examples=100)
-    def test_percentile_agrees(self, values, pct):
-        assert percentile(values, pct) == empirical_quantile(
-            values, pct / 100.0)
-
     @given(SAMPLES, QS)
     @settings(max_examples=100)
     def test_cdf_value_at_agrees(self, values, q):
@@ -275,16 +112,6 @@ class TestQuantileConvention:
             group = values[slots == s]
             assert template.predict(s * step) == \
                 empirical_quantile(group, 0.9)
-
-    def test_histogram_quantile_approximates_convention(self):
-        # Binned estimator: documented approximation, within a bin width.
-        rng = np.random.default_rng(3)
-        values = rng.uniform(0.0, 100.0, size=5000)
-        hist = Histogram(0.0, 100.0, bins=1000)
-        hist.extend(values)
-        for q in (0.1, 0.5, 0.9, 0.99):
-            assert hist.quantile(q) == pytest.approx(
-                empirical_quantile(values, q), abs=0.5)
 
     def test_analytic_quantile_ms_self_consistent(self):
         # The mixture quantile is a distribution quantile: inverting it

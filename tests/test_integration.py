@@ -11,8 +11,6 @@ from repro.core.workload_intelligence import (
     MetricsTriggerPolicy,
     OverclockSchedule,
 )
-from repro.sim.engine import SimulationEngine
-from repro.sim.events import PeriodicTask
 
 TURBO = DEFAULT_POWER_MODEL.plan.turbo_ghz
 MAX = DEFAULT_POWER_MODEL.plan.overclock_max_ghz
@@ -136,22 +134,61 @@ class TestPowerSafetyEndToEnd:
         assert rack.power_watts() <= rack.power_limit_watts + 1e-6
 
 
-class TestEngineDrivenPlatform:
-    def test_platform_on_simulation_engine(self):
-        """The platform composes with the DES engine via PeriodicTask."""
-        platform, servers = build()
-        vm = VirtualMachine(8, utilization=0.9)
-        servers[0].place_vm(vm)
+class TestLifetimeExhaustion:
+    """§IV-D: the epoch budget runs out under a granted, overclocked VM.
+
+    With admission control on, a metric grant's lease ends when its
+    cores' budget would, so expiry revokes it first.  A grant without a
+    lease (admission control off) burns the budget down instead: the sOA
+    moves the VM onto cores that still have budget, and once none has
+    any, revokes the grant and tells the owning service."""
+
+    def test_reschedule_then_revoke(self):
+        config = SmartOClockConfig(
+            enable_admission_control=False, enable_proactive_scaleout=False,
+            oc_budget_fraction=0.1, epoch_seconds=1200.0)  # 120 s a core
+        platform, (server,) = build(n_servers=1, rack_limit=8000.0,
+                                    config=config)
+        vm = VirtualMachine(len(server.cores) // 2, utilization=0.9)
+        server.place_vm(vm)
+        scale_outs = []
         service = platform.register_service(
-            "svc", metrics_policy=MetricsTriggerPolicy(consecutive=1))
+            "svc", metrics_policy=MetricsTriggerPolicy(consecutive=1),
+            scale_out_handler=lambda now, n: scale_outs.append(now),
+            rejections_per_scale_out=1)
         platform.attach_vm("svc", vm)
-        engine = SimulationEngine()
-        PeriodicTask(engine, 10.0,
-                     lambda: platform.tick(engine.now, 10.0))
-        PeriodicTask(engine, 10.0,
-                     lambda: service.observe(engine.now, 9.0, 10.0))
-        engine.run(until=60.0)
-        assert vm.freq_ghz == pytest.approx(MAX)
+        service.observe(0.0, 9.0, 10.0)
+        soa = platform.soas[server.server_id]
+
+        def cores():
+            return [core.index for core in server.vm_cores(vm)]
+
+        def has_budget(index, now):
+            return soa.core_budgets[index].available_seconds(now) \
+                >= config.min_grant_s
+
+        first, now = cores(), 0.0
+        while cores() == first:
+            now += 10.0
+            assert now <= 300.0, "the VM never moved off its spent cores"
+            platform.tick(now, dt=10.0)
+        moved = cores()
+        assert not set(moved) & set(first)
+        assert not any(has_budget(i, now) for i in first)
+        assert all(has_budget(i, now) for i in moved)
+        assert soa.is_overclocking(vm.vm_id)
+        assert vm.freq_ghz > TURBO
+        assert scale_outs == []
+
+        while soa.is_overclocking(vm.vm_id):
+            now += 10.0
+            assert now <= 600.0, "the grant outlived every core's budget"
+            platform.tick(now, dt=10.0)
+        assert not any(has_budget(i, now) for i in range(len(server.cores)))
+        assert not soa.loop.is_engaged(vm)
+        assert vm.freq_ghz == pytest.approx(TURBO)
+        assert scale_outs == [now]
+        assert service.exhaustion_signals == 0
 
 
 class TestTraceToPolicyPipeline:

@@ -1,9 +1,8 @@
-"""Tests for trace schema, synthetic generation, and persistence."""
+"""Tests for trace schema and synthetic generation."""
 
 import numpy as np
 import pytest
 
-from repro.traces.io import load_rack_csv, save_rack_csv
 from repro.traces.schema import RackTrace, ServerTrace
 from repro.traces.synthetic import (
     FleetConfig,
@@ -176,26 +175,3 @@ class TestSyntheticGeneration:
         profile = sample_server_profile(rng, tiny_config(), force_ml=True)
         assert profile.archetype == "ml"
         assert profile.oc_cores == 0
-
-
-class TestTraceIO:
-    def test_roundtrip(self, tmp_path):
-        fleet = generate_fleet(tiny_config())
-        rack = fleet.racks[0]
-        path = tmp_path / "rack.csv"
-        save_rack_csv(rack, path)
-        loaded = load_rack_csv(path)
-        assert loaded.rack_id == rack.rack_id
-        assert loaded.power_limit_watts == pytest.approx(
-            rack.power_limit_watts)
-        assert len(loaded.servers) == len(rack.servers)
-        assert np.allclose(loaded.servers[0].power_watts,
-                           rack.servers[0].power_watts, atol=1e-3)
-        assert np.array_equal(loaded.servers[0].oc_cores,
-                              rack.servers[0].oc_cores)
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("time_s,server_id\n")
-        with pytest.raises(ValueError, match="header"):
-            load_rack_csv(path)
