@@ -43,11 +43,13 @@ from repro.core.workload_intelligence import (
 )
 from repro.faults import FaultInjector, FaultPlan
 from repro.reliability.hazard import HazardModel
+from repro.sim.fold import left_sum
 from repro.workloads.loadgen import ConstantPattern, NoisyPattern, SpikePattern
 from repro.workloads.microservices import (
     SOCIALNET_SERVICES,
     MicroserviceDeployment,
     MicroserviceSpec,
+    overload_clamp,
 )
 from repro.workloads.mltrain import MLTrainJob
 from repro.workloads.queueing import MMcQueue
@@ -72,9 +74,6 @@ __all__ = [
 TURBO_GHZ = DEFAULT_POWER_MODEL.plan.turbo_ghz
 OVERCLOCK_GHZ = DEFAULT_POWER_MODEL.plan.overclock_max_ghz
 ENVIRONMENTS = ("Baseline", "ScaleOut", "ScaleUp", "SmartOClock")
-
-_RHO_CLAMP = 0.98
-_OVERLOAD_SLOPE = 40.0
 
 #: Period of the gOA budget cycles :func:`run_environment` forces, in
 #: simulated seconds.  The platform's own cadence
@@ -194,51 +193,58 @@ def platform_config(config: ClusterConfig,
 # Exact latency aggregation: mixtures of per-tick closed-form tails
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _TickEntry:
-    weight: float           # requests contributed (rate * dt)
-    lam: float              # per-instance arrival rate (possibly clamped)
-    mu: float               # per-worker service rate at the tick's freq
-    servers: int
-    overload_scale: float   # latency multiplier when rho exceeded clamp
-    slo_ms: float
-
-
 class LatencyAggregator:
-    """Request-weighted mixture of per-tick response-time distributions."""
+    """Request-weighted mixture of per-tick response-time distributions.
+
+    Each distinct tick entry — (requests, λ, μ, c, overload scale, SLO) —
+    is stored once, with its station built once; the entry order is kept
+    as indices.  A query computes one term per distinct entry and folds
+    the terms in entry order with :func:`repro.sim.fold.left_sum`, so it
+    adds the same doubles in the same order as one term per tick would
+    (DESIGN.md, "Latency model").
+    """
 
     def __init__(self) -> None:
-        self._entries: list[_TickEntry] = []
+        # Each distinct entry once, as (requests, station, overload scale,
+        # SLO ms); its index by key; the distinct index of every tick.
+        self._entries: list[tuple[float, MMcQueue, float, float]] = []
+        self._index: dict[tuple[float, float, float, int, float, float],
+                          int] = {}
+        self._order: list[int] = []
         self._total_weight = 0.0
 
     def add_tick(self, *, weight: float, offered_rho: float, mu: float,
                  servers: int, slo_ms: float) -> None:
         if weight <= 0:
             return
-        rho = min(offered_rho, _RHO_CLAMP)
-        scale = 1.0
-        if offered_rho > _RHO_CLAMP:
-            scale = 1.0 + _OVERLOAD_SLOPE * (offered_rho - _RHO_CLAMP)
+        rho, scale = overload_clamp(offered_rho)
         lam = rho * servers * mu
-        self._entries.append(_TickEntry(weight, lam, mu, servers, scale,
-                                        slo_ms))
+        key = (weight, lam, mu, servers, scale, slo_ms)
+        index = self._index.get(key)
+        if index is None:
+            index = self._index[key] = len(self._entries)
+            self._entries.append((weight, MMcQueue(lam, mu, servers), scale,
+                                  slo_ms))
+        self._order.append(index)
         self._total_weight += weight
 
     @property
     def total_requests(self) -> float:
         return self._total_weight
 
-    def _tail_at(self, entry: _TickEntry, t_ms: float) -> float:
-        queue = MMcQueue(entry.lam, entry.mu, entry.servers)
-        t = (t_ms / 1000.0) / entry.overload_scale
-        return queue.response_tail(t)
+    def _mixture(self, terms: list[float]) -> float:
+        """Fold the per-distinct-entry ``terms`` in entry order, per
+        request."""
+        if self._total_weight == 0:
+            raise ValueError("no requests recorded")
+        return left_sum(map(terms.__getitem__, self._order)) \
+            / self._total_weight
 
     def tail(self, t_ms: float) -> float:
         """P(latency > t) over the whole mixture."""
-        if self._total_weight == 0:
-            raise ValueError("no requests recorded")
-        mass = sum(e.weight * self._tail_at(e, t_ms) for e in self._entries)
-        return mass / self._total_weight
+        t_s = t_ms / 1000.0
+        return self._mixture([w * station.response_tail(t_s / scale)
+                              for w, station, scale, _ in self._entries])
 
     def quantile_ms(self, q: float) -> float:
         """Analytic q-quantile of the latency mixture, by bisecting the
@@ -263,6 +269,13 @@ class LatencyAggregator:
                 raise RuntimeError("quantile search diverged")
         for _ in range(80):
             mid = 0.5 * (lo + hi)
+            # Fixed point: every hi has tail(hi) <= target and every lo
+            # the loop set has tail(lo) > target, so at mid == hi the
+            # step would set hi = mid, at mid == lo it would set lo = mid
+            # — no change, now or in any later step.  (The untested
+            # initial lo = 0.0 never equals mid: hi >= 2**-80.)
+            if mid == lo or mid == hi:
+                break
             if self.tail(mid) > target:
                 lo = mid
             else:
@@ -273,22 +286,14 @@ class LatencyAggregator:
         return self.quantile_ms(0.99)
 
     def mean_ms(self) -> float:
-        if self._total_weight == 0:
-            raise ValueError("no requests recorded")
-        total = 0.0
-        for e in self._entries:
-            queue = MMcQueue(e.lam, e.mu, e.servers)
-            total += e.weight * queue.mean_response() * 1000.0 \
-                * e.overload_scale
-        return total / self._total_weight
+        return self._mixture([w * station.mean_response() * 1000.0 * scale
+                              for w, station, scale, _ in self._entries])
 
     def missed_slo_fraction(self) -> float:
         """Fraction of requests above their service's SLO."""
-        if self._total_weight == 0:
-            raise ValueError("no requests recorded")
-        mass = sum(e.weight * self._tail_at(e, e.slo_ms)
-                   for e in self._entries)
-        return mass / self._total_weight
+        return self._mixture([
+            w * station.response_tail((slo_ms / 1000.0) / scale)
+            for w, station, scale, slo_ms in self._entries])
 
 
 # ---------------------------------------------------------------------------
@@ -722,9 +727,9 @@ def run_environment(environment: str, config: ClusterConfig, *,
         rejections = (stats["rejected_power"]
                       + stats["rejected_lifetime"]
                       + stats["rejected_quarantine"])
-        wear_accrued = sum(c.wear_seconds - c.busy_seconds
-                           for soa in platform.soas.values()
-                           for c in soa.wear_counters)
+        wear_accrued = left_sum(c.wear_seconds - c.busy_seconds
+                                for soa in platform.soas.values()
+                                for c in soa.wear_counters)
         lifecycle = platform.lifecycle
         if lifecycle is not None:
             lifecycle.finish(config.duration_s)
@@ -745,7 +750,7 @@ def run_environment(environment: str, config: ClusterConfig, *,
         per_class=per_class,
         # sorted(): set iteration is hash-randomized across processes,
         # and float summation order must not leak into the result.
-        total_energy_j=sum(energy[sid] for sid in sorted(ever_active)),
+        total_energy_j=left_sum(energy[sid] for sid in sorted(ever_active)),
         ml_throughput=ml_rate,
         cap_events=sum(len(m.cap_events) for m in managers),
         overclock_grants=grants,

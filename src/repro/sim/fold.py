@@ -1,4 +1,5 @@
-"""Exact closed form of a repeated floating-point add.
+"""Floating-point folds whose bits are pinned: the exact closed form of a
+repeated add, and a left sum that does not depend on the Python version.
 
 Lazy accrual (:meth:`repro.cluster.topology.Server.advance`, the sOA's
 wear ledger) defers ``count`` identical ticks and later folds them into
@@ -38,14 +39,24 @@ Why it is exact (IEEE-754 double, round-to-nearest-even — CPython's
 
 Outside the domain — a negative, infinite or NaN operand, or a sum that
 could approach the overflow threshold — the kernel runs the plain loop.
+
+:func:`left_sum` is the other fold here: ``sum()`` of floats as CPython
+3.11 and earlier compute it, one rounded add at a time from ``0.0``.
+From 3.12 on, ``sum()`` of floats is compensated (Neumaier), so
+``sum([1.0, 1e100, 1.0, -1e100])`` is ``0.0`` on 3.11 and ``2.0`` on
+3.12; a result that must not depend on the interpreter's version folds
+its floats with :func:`left_sum`.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import repeat
 from math import frexp, ldexp
+from operator import add
+from typing import Iterable
 
-__all__ = ["MIN_CLOSED_FORM_RUN", "repeat_add"]
+__all__ = ["MIN_CLOSED_FORM_RUN", "left_sum", "repeat_add"]
 
 #: Runs shorter than this keep the callers' inline add loop.  Measured on
 #: CPython 3.11.7 (one core of a 2-CPU x86-64 VM), n plain adds and one
@@ -91,3 +102,14 @@ def repeat_add(acc: float, inc: float, n: int) -> float:
             step = -1.0
         acc = nxt
     return acc
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``((0.0 + v0) + v1) + ...``: the uncompensated left fold — for float
+    values, bit for bit what ``sum(values)`` returns on CPython 3.11 — on
+    every Python version.
+
+    It starts at ``0.0`` as ``sum()`` starts at ``0``, so an empty input
+    gives ``0.0`` and ``[-0.0]`` gives ``+0.0``.
+    """
+    return reduce(add, values, 0.0)

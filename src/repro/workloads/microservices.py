@@ -34,18 +34,31 @@ __all__ = [
     "MicroserviceInstance",
     "MicroserviceDeployment",
     "SOCIALNET_SERVICES",
+    "overload_clamp",
     "socialnet_service",
 ]
 
 #: Frequency used as the reference point for SLOs and speedups (max turbo).
 TURBO_GHZ = 3.3
 
-# How far past saturation the analytic model reports before clamping: an
-# unstable queue has unbounded tail latency, but tick-based experiments
-# need finite numbers, so latencies at rho >= _RHO_CLAMP grow linearly in
-# the excess load instead.
+# Per-worker load past which the analytic model stops (see
+# :func:`overload_clamp`), and the latency growth per unit of excess load.
 _RHO_CLAMP = 0.98
 _OVERLOAD_SLOPE = 40.0
+
+
+def overload_clamp(offered_rho: float) -> tuple[float, float]:
+    """The per-worker load the analytic model is evaluated at, and the
+    factor its latencies are scaled by.
+
+    Up to ``_RHO_CLAMP`` that is ``(offered_rho, 1.0)``.  Past it the
+    backlog grows without bound; the model stays at the clamp and the
+    latency grows linearly in the excess load, so tick-based experiments
+    see finite but clearly SLO-violating numbers.
+    """
+    if offered_rho > _RHO_CLAMP:
+        return _RHO_CLAMP, 1.0 + _OVERLOAD_SLOPE * (offered_rho - _RHO_CLAMP)
+    return offered_rho, 1.0
 
 
 @dataclass(frozen=True)
@@ -167,6 +180,12 @@ class MicroserviceInstance:
         self.spec = spec
         self.freq_ghz = freq_ghz
         self.arrival_rate = 0.0
+        # The last latency query: its exact inputs and its answer.  A
+        # latency is a pure function of the inputs, so a hit can never be
+        # stale and no setter needs to invalidate it.
+        self._memo_key: Optional[tuple[MicroserviceSpec, float, float,
+                                       Optional[float]]] = None
+        self._memo_ms = 0.0
 
     def set_load(self, arrival_rate: float) -> None:
         if arrival_rate < 0:
@@ -189,25 +208,20 @@ class MicroserviceInstance:
         """Unclamped offered load per worker (may exceed 1 under overload)."""
         return self.arrival_rate / self.spec.capacity(self.freq_ghz)
 
-    def _queue(self, rho_clamped: float) -> MMcQueue:
-        mu = self.spec.service_rate(self.freq_ghz)
-        lam = rho_clamped * self.spec.workers * mu
-        return MMcQueue(lam, mu, self.spec.workers)
-
     def _latency_ms(self, quantile: Optional[float]) -> float:
-        rho = self.offered_rho
-        clamped = min(rho, _RHO_CLAMP)
-        queue = self._queue(clamped)
+        """Mean latency (``quantile`` None) or a latency quantile, in ms."""
+        key = (self.spec, self.arrival_rate, self.freq_ghz, quantile)
+        if key == self._memo_key:
+            return self._memo_ms
+        rho, scale = overload_clamp(self.offered_rho)
+        mu = self.spec.service_rate(self.freq_ghz)
+        queue = MMcQueue(rho * self.spec.workers * mu, mu, self.spec.workers)
         if quantile is None:
             seconds = queue.mean_response()
         else:
             seconds = queue.response_quantile(quantile)
-        latency = seconds * 1000.0
-        if rho > _RHO_CLAMP:
-            # Overloaded: backlog grows without bound; report a latency that
-            # grows linearly in the excess load so tick-based experiments
-            # see finite but clearly SLO-violating numbers.
-            latency *= 1.0 + _OVERLOAD_SLOPE * (rho - _RHO_CLAMP)
+        latency = seconds * 1000.0 * scale
+        self._memo_key, self._memo_ms = key, latency
         return latency
 
     def mean_latency_ms(self) -> float:

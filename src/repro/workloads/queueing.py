@@ -53,7 +53,34 @@ class MMcQueue:
     ``servers`` (c).  Stable only for ρ = λ/(cμ) < 1; latency queries on an
     unstable queue raise, because an overloaded microservice has unbounded
     tail latency and callers must handle that explicitly.
+
+    A station is immutable: everything that does not depend on the query
+    time — ρ, the Erlang-C wait probability, θ = cμ - λ and the products
+    the tail formula reuses — is computed once, at construction, so it
+    can never go stale.  Each hoisted product is the subexpression Python
+    evaluated first in the per-call formula, so every query returns the
+    same bits it did when the terms were recomputed per call (DESIGN.md,
+    "Latency model").
     """
+
+    __slots__ = ("arrival_rate", "service_rate", "servers", "utilization",
+                 "stable", "_pw", "_theta", "_one_minus_pw", "_pw_theta",
+                 "_neg_mu", "_neg_theta", "_mu_minus_theta", "_degenerate")
+
+    arrival_rate: float
+    service_rate: float
+    servers: int
+    #: Offered load per server, ρ = λ / (cμ).
+    utilization: float
+    stable: bool
+    _pw: float               # Erlang-C wait probability
+    _theta: float            # cμ - λ, the rate of the wait's tail
+    _one_minus_pw: float
+    _pw_theta: float
+    _neg_mu: float
+    _neg_theta: float
+    _mu_minus_theta: float
+    _degenerate: bool        # μ == θ: the t·e^{-μt} form of the tail
 
     def __init__(self, arrival_rate: float, service_rate: float,
                  servers: int) -> None:
@@ -63,45 +90,41 @@ class MMcQueue:
             raise ValueError(f"service rate must be > 0: {service_rate}")
         if servers < 1:
             raise ValueError(f"need at least 1 server: {servers}")
-        self.arrival_rate = arrival_rate
-        self.service_rate = service_rate
-        self.servers = servers
+        mu = service_rate
+        rho = arrival_rate / (servers * mu)
+        theta = servers * mu - arrival_rate
+        pw = _erlang_c(arrival_rate, mu, servers, rho)
+        init = object.__setattr__
+        init(self, "arrival_rate", arrival_rate)
+        init(self, "service_rate", mu)
+        init(self, "servers", servers)
+        init(self, "utilization", rho)
+        init(self, "stable", rho < 1.0)
+        init(self, "_pw", pw)
+        init(self, "_theta", theta)
+        init(self, "_one_minus_pw", 1.0 - pw)
+        init(self, "_pw_theta", pw * theta)
+        init(self, "_neg_mu", -mu)
+        init(self, "_neg_theta", -theta)
+        init(self, "_mu_minus_theta", mu - theta)
+        init(self, "_degenerate", abs(mu - theta) < 1e-12 * mu)
 
-    @property
-    def utilization(self) -> float:
-        """Offered load per server, ρ = λ / (cμ)."""
-        return self.arrival_rate / (self.servers * self.service_rate)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"MMcQueue is immutable; cannot set {name!r}")
 
-    @property
-    def stable(self) -> bool:
-        return self.utilization < 1.0
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"MMcQueue is immutable; cannot delete {name!r}")
 
     def erlang_c(self) -> float:
         """Probability that an arriving request must wait (Erlang-C)."""
-        if self.arrival_rate == 0:
-            return 0.0
-        if not self.stable:
-            return 1.0
-        c = self.servers
-        a = self.arrival_rate / self.service_rate  # offered load in erlangs
-        rho = self.utilization
-        # Compute iteratively in log space for numerical robustness.
-        term = 1.0  # a^0 / 0!
-        partial_sum = term
-        for k in range(1, c):
-            term *= a / k
-            partial_sum += term
-        term_c = term * a / c  # a^c / c!
-        numerator = term_c / (1.0 - rho)
-        return numerator / (partial_sum + numerator)
+        return self._pw
 
     def mean_wait(self) -> float:
         """Mean queueing delay E[W] (excluding service)."""
         self._require_stable()
         if self.arrival_rate == 0:
             return 0.0
-        theta = self.servers * self.service_rate - self.arrival_rate
-        return self.erlang_c() / theta
+        return self._pw / self._theta
 
     def mean_response(self) -> float:
         """Mean response time E[T] = E[W] + 1/μ."""
@@ -117,19 +140,17 @@ class MMcQueue:
         self._require_stable()
         if t < 0:
             return 1.0
-        mu = self.service_rate
-        theta = self.servers * mu - self.arrival_rate
-        pw = self.erlang_c()
-        if abs(mu - theta) < 1e-12 * mu:
+        em = math.exp(self._neg_mu * t)
+        et = math.exp(self._neg_theta * t)
+        if self._degenerate:
             # Degenerate case: identical rates, the convolution integral
             # produces a t * e^{-mu t} term.
-            return ((1.0 - pw) * math.exp(-mu * t)
-                    + pw * math.exp(-theta * t)
-                    + pw * theta * t * math.exp(-mu * t))
-        tail = ((1.0 - pw) * math.exp(-mu * t)
-                + pw * math.exp(-theta * t)
-                + pw * theta * (math.exp(-theta * t) - math.exp(-mu * t))
-                / (mu - theta))
+            return (self._one_minus_pw * em + self._pw * et
+                    + self._pw_theta * t * em)
+        # The quotient stays (pw*θ*(et - em)) / (μ - θ): one coefficient
+        # pw*θ/(μ - θ) would round differently.
+        tail = (self._one_minus_pw * em + self._pw * et
+                + self._pw_theta * (et - em) / self._mu_minus_theta)
         return min(1.0, max(0.0, tail))
 
     def response_quantile(self, q: float) -> float:
@@ -162,6 +183,26 @@ class MMcQueue:
                 f"queue unstable: rho={self.utilization:.3f} "
                 f"(lambda={self.arrival_rate}, c={self.servers}, "
                 f"mu={self.service_rate})")
+
+
+def _erlang_c(arrival_rate: float, service_rate: float, servers: int,
+              rho: float) -> float:
+    """Probability that an arriving request must wait (Erlang-C); 1.0 for
+    an unstable queue (ρ >= 1)."""
+    if arrival_rate == 0:
+        return 0.0
+    if not rho < 1.0:
+        return 1.0
+    c = servers
+    a = arrival_rate / service_rate  # offered load in erlangs
+    term = 1.0  # a^0 / 0!
+    partial_sum = term
+    for k in range(1, c):
+        term *= a / k
+        partial_sum += term
+    term_c = term * a / c  # a^c / c!
+    numerator = term_c / (1.0 - rho)
+    return numerator / (partial_sum + numerator)
 
 
 class OverloadedQueueError(RuntimeError):

@@ -129,7 +129,7 @@ class TestClusterWorkerGlobalRead:
         # mutable global read anywhere under run_environment must be
         # charged to it.
         mutated_lines = CLUSTER.read_text().splitlines()
-        mutated_lines.insert(line_number(mutated_lines, "_OVERLOAD_SLOPE ="),
+        mutated_lines.insert(line_number(mutated_lines, "GOA_CYCLE_S ="),
                              "_ENV_CACHE: dict = {}")
         body_start = line_number(mutated_lines, "def run_environment(")
         # The signature spans several lines; insert after it closes.

@@ -7,6 +7,8 @@ ticks) so the suite stays fast; the full-scale runs live in benchmarks/.
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.cluster import (
     ClusterConfig,
@@ -14,6 +16,7 @@ from repro.experiments.cluster import (
     run_environment,
 )
 from repro.experiments.production import fig16_service_b, fig17_service_c
+from tests.workloads.latency_oracle import ReferenceAggregator
 
 
 def fast_config(**kwargs):
@@ -75,6 +78,40 @@ class TestLatencyAggregator:
         agg.add_tick(weight=10.0, offered_rho=0.7, mu=100.0, servers=2,
                      slo_ms=30.0)
         assert 0.0 <= agg.missed_slo_fraction() <= 1.0
+
+
+# One tick's add_tick arguments: loads reach past the 0.98 clamp, so some
+# ticks are overloaded, and weights span orders of magnitude, so the order
+# of the mixture sums shows in the result's bits.
+_TICK = st.tuples(
+    st.floats(0.5, 5e4),                                     # weight
+    st.one_of(st.floats(0.0, 1.6), st.sampled_from([0.98])),  # offered_rho
+    st.floats(50.0, 2000.0),                                 # mu
+    st.integers(1, 12),                                      # servers
+    st.sampled_from([5.0, 9.0, 15.0, 30.0]))                 # slo_ms
+
+
+class TestAggregatorMatchesPerTickReference:
+    """Storing each distinct tick once and folding the terms in tick order
+    returns exactly (``==``) what one entry and one fresh station per
+    tick, and all 80 halvings, return (``ReferenceAggregator``)."""
+
+    @given(st.lists(_TICK, min_size=1, max_size=6),
+           st.lists(st.integers(0, 5), min_size=1, max_size=50))
+    @settings(max_examples=40, deadline=None)
+    def test_streams_with_repeated_ticks(self, pool, picks):
+        agg, reference = LatencyAggregator(), ReferenceAggregator()
+        for pick in picks:
+            weight, rho, mu, servers, slo_ms = pool[pick % len(pool)]
+            for target in (agg, reference):
+                target.add_tick(weight=weight, offered_rho=rho, mu=mu,
+                                servers=servers, slo_ms=slo_ms)
+        p99 = agg.p99_ms()
+        assert p99 == reference.p99_ms()
+        assert agg.mean_ms() == reference.mean_ms()
+        assert agg.missed_slo_fraction() == reference.missed_slo_fraction()
+        for t_ms in (0.0, 0.5 * p99, p99, 3.0 * p99):
+            assert agg.tail(t_ms) == reference.tail(t_ms)
 
 
 class TestClusterEnvironments:

@@ -3,7 +3,9 @@
 :func:`repro.sim.fold.repeat_add` replaces ``n`` replayed ``acc += inc``
 adds in lazy accrual; every case here compares it against that loop —
 the reference — on the bit pattern of the result, so a sign-of-zero or
-last-ulp difference fails.
+last-ulp difference fails.  :func:`repro.sim.fold.left_sum` is that
+plain fold over a sequence, pinned here on the inputs where CPython
+3.12's compensated ``sum()`` differs.
 """
 
 import math
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.fold import MIN_CLOSED_FORM_RUN, repeat_add
+from repro.sim.fold import MIN_CLOSED_FORM_RUN, left_sum, repeat_add
 
 TINY = math.ulp(0.0)  # the smallest subnormal
 
@@ -111,3 +113,30 @@ class TestRepeatAdd:
         assert_bit_identical(0.0, inc, 20160)
         assert_bit_identical(0.0, inc, 2 * 10 ** 5)
 
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestLeftSum:
+    def test_uncompensated(self):
+        # sum() returns 2.0 here from CPython 3.12 on (Neumaier
+        # compensation); the left fold rounds 1e100 + 1.0 to 1e100.
+        assert bits(left_sum([1.0, 1e100, 1.0, -1e100])) == bits(0.0)
+
+    def test_empty_is_zero(self):
+        assert bits(left_sum([])) == bits(0.0)
+
+    def test_starts_at_positive_zero(self):
+        assert bits(left_sum([-0.0])) == bits(0.0)
+        assert bits(left_sum([-0.0, -0.0])) == bits(0.0)
+
+    @given(st.lists(st.floats(-1e12, 1e12), max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_is_the_left_fold(self, values):
+        acc = 0.0
+        for value in values:
+            acc += value
+        assert bits(left_sum(values)) == bits(acc)
+        assert bits(left_sum(iter(values))) == bits(acc)

@@ -126,6 +126,53 @@ class TestInstance:
             MicroserviceInstance(socialnet_service("Usr")).set_load(-1.0)
 
 
+class TestLatencyMemo:
+    """An instance remembers its last latency on its exact inputs; after a
+    query, every way of changing an input gives exactly what a fresh
+    instance with the new inputs gives."""
+
+    SPEC = socialnet_service("ComposePost")
+    RATE = 0.6 * SPEC.capacity(TURBO)
+
+    @staticmethod
+    def latencies(instance):
+        return (instance.p99_latency_ms(), instance.mean_latency_ms(),
+                instance.latency_quantile_ms(0.9),
+                instance.p99_latency_ms())
+
+    @classmethod
+    def fresh(cls, spec=SPEC, rate=RATE, freq=TURBO):
+        instance = MicroserviceInstance(spec, freq)
+        instance.set_load(rate)
+        return instance
+
+    def test_repeated_query_matches_fresh(self):
+        instance = self.fresh()
+        first = self.latencies(instance)
+        assert self.latencies(instance) == first
+        assert first == self.latencies(self.fresh())
+
+    @pytest.mark.parametrize("change,spec,rate,freq", [
+        (lambda i: i.set_load(0.8 * i.spec.capacity(TURBO)),
+         SPEC, 0.8 * SPEC.capacity(TURBO), TURBO),
+        (lambda i: i.set_load(1.3 * i.spec.capacity(TURBO)),
+         SPEC, 1.3 * SPEC.capacity(TURBO), TURBO),
+        (lambda i: i.set_frequency(OVERCLOCK), SPEC, RATE, OVERCLOCK),
+        (lambda i: setattr(i, "arrival_rate", 0.3 * i.spec.capacity(TURBO)),
+         SPEC, 0.3 * SPEC.capacity(TURBO), TURBO),
+        (lambda i: setattr(i, "freq_ghz", 3.6), SPEC, RATE, 3.6),
+        (lambda i: setattr(i, "spec", socialnet_service("Text")),
+         socialnet_service("Text"), RATE, TURBO),
+    ], ids=["set_load", "set_load_overloaded", "set_frequency",
+            "write_arrival_rate", "write_freq_ghz", "write_spec"])
+    def test_changed_input_matches_fresh(self, change, spec, rate, freq):
+        instance = self.fresh()
+        self.latencies(instance)
+        change(instance)
+        assert self.latencies(instance) \
+            == self.latencies(self.fresh(spec, rate, freq))
+
+
 class TestDeployment:
     def test_load_balanced_evenly(self):
         spec = socialnet_service("ComposePost")

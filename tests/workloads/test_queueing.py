@@ -15,6 +15,7 @@ from repro.workloads.queueing import (
     frequency_speedup,
     simulate_mgc,
 )
+from tests.workloads.latency_oracle import ReferenceMMcQueue
 
 
 class TestFrequencySpeedup:
@@ -128,6 +129,72 @@ class TestMMcClosedForm:
     def test_mean_response_at_least_service_time(self, rho, c):
         queue = MMcQueue(rho * c, 1.0, c)
         assert queue.mean_response() >= 1.0 - 1e-9
+
+
+class TestPrecomputedStation:
+    """The immutable station returns exactly — ``==``, not approx — what
+    the per-call formulas return (``latency_oracle.ReferenceMMcQueue``)."""
+
+    @staticmethod
+    def assert_matches_reference(lam, mu, c, ts):
+        station = MMcQueue(lam, mu, c)
+        reference = ReferenceMMcQueue(lam, mu, c)
+        assert station.utilization == reference.utilization
+        assert station.stable is reference.stable
+        assert station.erlang_c() == reference.erlang_c()
+        assert station.mean_wait() == reference.mean_wait()
+        assert station.mean_response() == reference.mean_response()
+        assert station.response_quantile(0.99) \
+            == reference.response_quantile(0.99)
+        for t in ts:
+            assert station.response_tail(t) == reference.response_tail(t)
+
+    @given(st.floats(0.0, 0.999, exclude_min=True),
+           st.floats(0.5, 5000.0), st.integers(1, 16),
+           st.lists(st.floats(0.0, 40.0), min_size=1, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_call_formulas(self, rho, mu, c, service_times):
+        # t spans 0 to 40 mean service times: the body and deep tail.
+        self.assert_matches_reference(rho * c * mu, mu, c,
+                                      [x / mu for x in service_times])
+
+    @pytest.mark.parametrize("lam,mu,c", [
+        (1.0, 1.0, 2),            # θ = 2·1 - 1 = μ
+        (500.0, 250.0, 3),        # θ = 750 - 500 = μ
+        (15 * 3.75, 3.75, 16)])   # θ = 60 - 56.25 = μ
+    def test_degenerate_rates(self, lam, mu, c):
+        assert MMcQueue(lam, mu, c)._degenerate
+        self.assert_matches_reference(lam, mu, c, [0.0, 0.3, 1.0, 7.5])
+
+    @pytest.mark.parametrize("lam,mu,c", [(0.0, 1.0, 4), (0.0, 300.0, 1),
+                                          (3.0, 1.0, 4)])
+    def test_zero_arrivals_and_edge_times(self, lam, mu, c):
+        self.assert_matches_reference(lam, mu, c,
+                                      [-1.0, -1e-300, 0.0, 1e-300, 2.0])
+
+    @pytest.mark.parametrize("lam", [4.0, 5.0, 40.0])
+    def test_unstable_station_constructs_and_raises(self, lam):
+        queue = MMcQueue(lam, 1.0, 4)  # ρ = λ/4 >= 1
+        assert not queue.stable
+        assert queue.utilization == ReferenceMMcQueue(lam, 1.0, 4).utilization
+        assert queue.erlang_c() == 1.0
+        for query in (queue.mean_wait, queue.mean_response,
+                      queue.p99_response, lambda: queue.response_tail(1.0),
+                      lambda: queue.response_quantile(0.5)):
+            with pytest.raises(OverloadedQueueError):
+                query()
+
+    @pytest.mark.parametrize("name", [
+        "arrival_rate", "service_rate", "servers", "utilization", "stable",
+        "_pw", "_pw_theta", "_degenerate", "not_an_attribute"])
+    def test_writes_raise(self, name):
+        queue = MMcQueue(3.0, 1.0, 4)
+        before = queue.response_tail(1.0)
+        with pytest.raises(AttributeError):
+            setattr(queue, name, 0.5)
+        with pytest.raises(AttributeError):
+            delattr(queue, name)
+        assert queue.response_tail(1.0) == before
 
 
 class TestSimulationAgreement:
