@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cluster.frequency import DEFAULT_FREQUENCY_PLAN, FrequencyPlan
+from repro.sim.fold import left_sum
 
 __all__ = ["PowerModel", "DEFAULT_POWER_MODEL"]
 
@@ -76,7 +77,8 @@ class PowerModel:
         if len(core_loads) > self.cores:
             raise ValueError(
                 f"{len(core_loads)} core loads for a {self.cores}-core SKU")
-        dynamic = sum(self.core_dynamic_watts(u, f) for u, f in core_loads)
+        dynamic = left_sum(self.core_dynamic_watts(u, f)
+                           for u, f in core_loads)
         return self.idle_watts + dynamic
 
     def uniform_server_watts(self, utilization: float, freq_ghz: float,

@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Optional
 
 from repro.cluster.frequency import FrequencyPlan
 from repro.cluster.power import PowerModel
-from repro.sim.fold import MIN_CLOSED_FORM_RUN, repeat_add
+from repro.sim.fold import MIN_CLOSED_FORM_RUN, left_sum, repeat_add
 
 __all__ = ["Core", "VirtualMachine", "Server", "Rack", "Datacenter"]
 
@@ -350,11 +350,11 @@ class Server:
         """Re-account the VM's cores around a VM-level utilization write."""
         self._flush_accrual()
         cores = self._vm_cores.get(vm.vm_id, ())
-        before = sum(self._core_watts(c) for c in cores)
+        before = left_sum(self._core_watts(c) for c in cores)
         # The one sanctioned cross-object write: this *is* the delta
         # protocol the setter delegates to.
         vm._utilization = utilization  # oclint: disable=power-cache-write
-        after = sum(self._core_watts(c) for c in cores)
+        after = left_sum(self._core_watts(c) for c in cores)
         self._apply_core_delta(after - before)
 
     @property

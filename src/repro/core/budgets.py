@@ -24,10 +24,15 @@ Edge cases the paper leaves implicit, resolved here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
 from repro.core.types import ServerProfileReport
+from repro.recovery.checkpoint import CanonicalFragment
+from repro.sim.fold import left_sum
 
 __all__ = ["BudgetAssignment", "compute_heterogeneous_budgets"]
 
@@ -46,15 +51,37 @@ class BudgetAssignment:
     delivery can never roll a server back to a superseded assignment.
     Hand-built assignments default to epoch 0 (always installable on a
     fresh sOA).
+
+    An assignment is read-only all the way down: ``budgets`` becomes a
+    read-only mapping of read-only float64 copies of the given series.
+    One assignment is shared by every sOA of the rack until the next
+    push, and each of their checkpoints splices in
+    :attr:`budgets_fragment`, encoded once; a series that could change
+    would leave that cached encoding stale.
     """
 
     slot_s: float
-    budgets: dict[str, np.ndarray]
+    budgets: Mapping[str, np.ndarray]
     epoch: int = 0
 
     def __post_init__(self) -> None:
         if self.epoch < 0:
             raise ValueError(f"epoch must be >= 0: {self.epoch}")
+        frozen: dict[str, np.ndarray] = {}
+        for server_id, series in self.budgets.items():
+            # A copy: the caller may hold a writable view of the series.
+            array = np.array(series, dtype=np.float64)
+            array.flags.writeable = False
+            frozen[server_id] = array
+        object.__setattr__(self, "budgets", MappingProxyType(frozen))
+
+    @cached_property
+    def budgets_fragment(self) -> CanonicalFragment:
+        """The budgets as a checkpoint stores them — each series a tuple
+        of floats, servers in sorted order — encoded once."""
+        return CanonicalFragment({
+            server_id: tuple(self.budgets[server_id].tolist())
+            for server_id in sorted(self.budgets)})
 
     @property
     def plan_horizon(self) -> float:
@@ -106,8 +133,8 @@ class BudgetAssignment:
         return float(series[slot])
 
     def total_at(self, t: float, *, out_of_horizon: str = "raise") -> float:
-        return sum(self.budget_at(sid, t, out_of_horizon=out_of_horizon)
-                   for sid in self.budgets)
+        return left_sum(self.budget_at(sid, t, out_of_horizon=out_of_horizon)
+                        for sid in self.budgets)
 
 
 def compute_heterogeneous_budgets(

@@ -275,7 +275,9 @@ class ServerOverclockingAgent:
     def build_checkpoint(self, now: float) -> SoaCheckpoint:
         """Snapshot the durable state (wear counters, epoch budgets,
         template history, grant ledger, last budget assignment) as a
-        JSON-compatible payload."""
+        JSON-compatible payload.  The assignment's budgets go in as its
+        cached :class:`~repro.recovery.checkpoint.CanonicalFragment`,
+        which the rack's sOAs share until the next push."""
         grants = {
             str(vm_id): {
                 "vm_id": grant.vm_id,
@@ -293,11 +295,7 @@ class ServerOverclockingAgent:
                 "slot_s": self._assignment.slot_s,
                 "epoch": self._assignment.epoch,
                 "received_at": self._assignment_received_at,
-                "budgets": {
-                    sid: [float(x) for x in series]
-                    for sid, series in sorted(
-                        self._assignment.budgets.items())
-                },
+                "budgets": self._assignment.budgets_fragment,
             }
         payload = {
             "server_id": self.server.server_id,
@@ -362,9 +360,7 @@ class ServerOverclockingAgent:
             # across restarts: a stale push from a deposed gOA primary is
             # rejected even by a freshly restored sOA.
             self._assignment = BudgetAssignment(
-                slot_s=spec["slot_s"],
-                budgets={sid: np.asarray(series, dtype=float)
-                         for sid, series in spec["budgets"].items()},
+                slot_s=spec["slot_s"], budgets=spec["budgets"],
                 epoch=spec["epoch"])
             self._assignment_received_at = spec["received_at"]
             # The stale-budget margin re-derives from the restored

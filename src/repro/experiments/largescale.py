@@ -703,6 +703,12 @@ class PolicyAccumulator:
     fold from zero, exactly what ``sum()`` over an ordered list does, so
     a sweep that adds results in submission-slot order scores
     byte-identically at any worker count.
+
+    Every result is checked against the sweep's accounting rules before
+    it is folded in, so each ``repro table1`` run checks itself: no rack
+    is granted more core-ticks than it demanded or succeeds on more than
+    it was granted, stranded power is never negative, and caps blamed on
+    oversubscription are a subset of all caps.
     """
 
     policy: str
@@ -719,6 +725,18 @@ class PolicyAccumulator:
     osub_cap_events: int = 0
 
     def add(self, result: RackSimResult) -> None:
+        for rule, holds in (
+                ("granted <= demanded", result.granted_core_ticks
+                 <= result.demanded_core_ticks),
+                ("successful <= granted", result.successful_core_ticks
+                 <= result.granted_core_ticks * (1 + 1e-12)),
+                ("stranded >= 0", result.stranded_watt_ticks >= 0),
+                ("osub caps <= caps", result.osub_cap_events
+                 <= result.cap_events)):
+            if not holds:
+                raise ValueError(
+                    f"rack {result.rack_id}, policy {result.policy}: "
+                    f"accounting rule {rule!r} fails: {result}")
         self.racks += 1
         self.ticks += result.ticks
         self.cap_events += result.cap_events

@@ -12,6 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.sim.fold import left_sum
+
 __all__ = [
     "empirical_quantile",
     "rmse",
@@ -137,4 +139,4 @@ class DowntimeTracker:
 
     @property
     def total_downtime_s(self) -> float:
-        return sum(self._downtime_s.values())
+        return left_sum(self._downtime_s.values())

@@ -1,5 +1,8 @@
 """Tests for heterogeneous power budgets, pinned to the §IV-C example."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +175,51 @@ class TestBudgetAssignment:
                                       budgets={"a": np.array([1.0])})
         with pytest.raises(KeyError):
             assignment.budget_at("zz", 0.0)
+
+
+class TestReadOnlyAssignment:
+    """An assignment is shared by every sOA of a rack and its budgets are
+    encoded once for their checkpoints, so nothing may change it."""
+
+    def test_writes_raise(self):
+        assignment = BudgetAssignment(
+            slot_s=300.0, budgets={"a": np.array([1.0, 2.0])})
+        with pytest.raises(TypeError):
+            assignment.budgets["a"] = np.array([9.0, 9.0])
+        with pytest.raises(TypeError):
+            del assignment.budgets["a"]
+        with pytest.raises(ValueError, match="read-only"):
+            assignment.budgets["a"][0] = 9.0
+        assert assignment.budget_at("a", 0.0) == 1.0
+
+    def test_series_are_float64_copies(self):
+        rows = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assignment = BudgetAssignment(
+            slot_s=300.0, budgets={"a": rows[0], "b": [3, 4]})
+        rows[0, 0] = 99.0  # the caller's view stays writable
+        assert assignment.budget_at("a", 0.0) == 1.0
+        assert assignment.budgets["b"].dtype == np.float64
+
+    def test_replace_keeps_working(self):
+        assignment = BudgetAssignment(
+            slot_s=300.0, budgets={"a": np.array([1.0, 2.0])})
+        pushed = dataclasses.replace(assignment, epoch=4)
+        assert pushed.epoch == 4
+        assert np.array_equal(pushed.budgets["a"], assignment.budgets["a"])
+        assert not pushed.budgets["a"].flags.writeable
+
+    def test_fragment_is_encoded_once(self):
+        assignment = BudgetAssignment(
+            slot_s=300.0,
+            budgets={"b": np.array([0.1, -0.0]), "a": np.array([1e300])})
+        fragment = assignment.budgets_fragment
+        assert assignment.budgets_fragment is fragment
+        assert list(fragment) == ["a", "b"]
+        assert fragment == {"a": (1e300,), "b": (0.1, -0.0)}
+        assert fragment.text == json.dumps(
+            {sid: [float(x) for x in series]
+             for sid, series in assignment.budgets.items()},
+            sort_keys=True, separators=(",", ":"))
 
 
 class TestPerSlotLimit:

@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.policies import make_policy
 from repro.experiments.largescale import (
+    PolicyAccumulator,
+    RackSimResult,
     cluster_class_fleet_configs,
     compare_policies_streaming,
     simulate_rack,
@@ -129,3 +131,36 @@ class TestClusterClasses:
             means[name] = float(np.mean(stats["p99"]))
         assert means["High-Power"] > means["Medium-Power"] > \
             means["Low-Power"]
+
+
+class TestAccountingSelfCheck:
+    """``PolicyAccumulator.add`` refuses a result that breaks one of the
+    sweep's accounting rules, naming the rack, the policy and the rule."""
+
+    VALID = dict(rack_id="r7", policy="SmartOClock", ticks=10, cap_events=2,
+                 demanded_core_ticks=100, granted_core_ticks=80,
+                 successful_core_ticks=80.0, stranded_watt_ticks=0.0,
+                 osub_cap_events=2)
+
+    def test_valid_results_fold(self):
+        acc = PolicyAccumulator("SmartOClock")
+        acc.add(RackSimResult(**self.VALID))
+        # successful may exceed granted by float rounding, no more.
+        acc.add(RackSimResult(**{**self.VALID,
+                                 "successful_core_ticks": 80.0 + 1e-12}))
+        assert acc.racks == 2
+
+    @pytest.mark.parametrize("field, value, rule", [
+        ("granted_core_ticks", 101, "granted <= demanded"),
+        ("successful_core_ticks", 80.0 * (1 + 1e-9), "successful <= granted"),
+        ("stranded_watt_ticks", -1e-9, "stranded >= 0"),
+        ("osub_cap_events", 3, "osub caps <= caps"),
+    ])
+    def test_planted_violation_raises(self, field, value, rule):
+        acc = PolicyAccumulator("SmartOClock")
+        with pytest.raises(ValueError) as failure:
+            acc.add(RackSimResult(**{**self.VALID, field: value}))
+        message = str(failure.value)
+        assert "rack r7, policy SmartOClock" in message
+        assert repr(rule) in message
+        assert acc.racks == 0

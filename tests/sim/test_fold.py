@@ -5,9 +5,13 @@ adds in lazy accrual; every case here compares it against that loop —
 the reference — on the bit pattern of the result, so a sign-of-zero or
 last-ulp difference fails.  :func:`repro.sim.fold.left_sum` is that
 plain fold over a sequence, pinned here on the inputs where CPython
-3.12's compensated ``sum()`` differs.
+3.12's compensated ``sum()`` differs — and platform runs are shown not
+to depend on which ``sum()`` the interpreter has.
 """
 
+import builtins
+import dataclasses
+import json
 import math
 import struct
 from itertools import repeat
@@ -16,6 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.chaos import ChaosConfig, chaos_trial
+from repro.experiments.cluster import ClusterConfig, run_environment
 from repro.sim.fold import MIN_CLOSED_FORM_RUN, left_sum, repeat_add
 
 TINY = math.ulp(0.0)  # the smallest subnormal
@@ -140,3 +146,61 @@ class TestLeftSum:
             acc += value
         assert bits(left_sum(values)) == bits(acc)
         assert bits(left_sum(iter(values))) == bits(acc)
+
+
+_BUILTIN_SUM = builtins.sum
+
+
+def compensated_sum(iterable, start=0):
+    """``sum()`` as CPython 3.12 computes it for floats: a Neumaier-
+    compensated fold whose running error is added back at the end.
+    Inputs with no float (ints, lists, ...) go to the real ``sum()``."""
+    items = list(iterable)
+    numbers = [start, *items]
+    if not (all(isinstance(x, (int, float)) for x in numbers)
+            and any(isinstance(x, float) for x in numbers)):
+        return _BUILTIN_SUM(items, start)
+    total = float(start)
+    error = 0.0
+    for x in map(float, items):
+        t = total + x
+        if abs(total) >= abs(x):
+            error += (total - t) + x
+        else:
+            error += (x - t) + total
+        total = t
+    if error and math.isfinite(error):
+        total += error
+    return total
+
+
+class TestPlatformIgnoresSum:
+    """The platform folds its floats with ``left_sum``, so a run gives the
+    same bits under the compensated ``sum()`` of CPython >= 3.12."""
+
+    def test_compensated_sum_differs_from_the_left_fold(self):
+        values = [1.0, 1e100, 1.0, -1e100]
+        assert compensated_sum(values) == 2.0
+        assert left_sum(values) == 0.0
+        assert compensated_sum([1, 2, 3]) == 6
+        assert compensated_sum([[1], [2]], []) == [1, 2]
+
+    def test_cluster_run(self, monkeypatch):
+        config = ClusterConfig(duration_s=1800.0, seed=1)
+
+        def digest():
+            result = run_environment("SmartOClock", config)
+            return json.dumps(dataclasses.asdict(result), sort_keys=True)
+
+        expected = digest()
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        assert digest() == expected
+
+    def test_chaos_trial(self, monkeypatch):
+        config = ChaosConfig(duration_s=600.0)
+        expected = chaos_trial(0, config)
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        patched = chaos_trial(0, config)
+        assert patched == expected
+        assert bits(patched.peak_rack_power_fraction) \
+            == bits(expected.peak_rack_power_fraction)
