@@ -9,17 +9,11 @@ Run with::
 
 import numpy as np
 
-from repro.cluster import (
-    DEFAULT_POWER_MODEL,
-    GPU_FREQUENCY_PLAN,
-    GPU_POWER_MODEL,
-    Container,
-    ContainerHost,
-    Rack,
-    Server,
-    VirtualMachine,
-)
-from repro.core import infer_trigger_policy
+from repro.cluster.containers import Container, ContainerHost
+from repro.cluster.gpu import GPU_FREQUENCY_PLAN, GPU_POWER_MODEL
+from repro.cluster.power import DEFAULT_POWER_MODEL
+from repro.cluster.topology import Rack, Server, VirtualMachine
+from repro.core.threshold_inference import infer_trigger_policy
 from repro.reliability import CoreWearoutCounter, OnlineWearBudget
 
 MAX = DEFAULT_POWER_MODEL.plan.overclock_max_ghz

@@ -7,14 +7,10 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro.cluster import (
-    DEFAULT_POWER_MODEL,
-    Datacenter,
-    Rack,
-    Server,
-    VirtualMachine,
-)
-from repro.core import MetricsTriggerPolicy, SmartOClockPlatform
+from repro.cluster.power import DEFAULT_POWER_MODEL
+from repro.cluster.topology import Datacenter, Rack, Server, VirtualMachine
+from repro.core.platform import SmartOClockPlatform
+from repro.core.workload_intelligence import MetricsTriggerPolicy
 
 TURBO = DEFAULT_POWER_MODEL.plan.turbo_ghz
 

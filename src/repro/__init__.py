@@ -19,9 +19,9 @@ paper's evaluation depends on:
 
 Quickstart::
 
-    from repro.cluster import Datacenter, Rack, Server, VirtualMachine
-    from repro.cluster import DEFAULT_POWER_MODEL
-    from repro.core import SmartOClockPlatform, MetricsTriggerPolicy
+    from repro.cluster.power import DEFAULT_POWER_MODEL
+    from repro.cluster.topology import Datacenter, Rack, Server, VirtualMachine
+    from repro.core.platform import SmartOClockPlatform
 
     rack = Rack("r0", power_limit_watts=2000.0)
     server = Server("s0", DEFAULT_POWER_MODEL)

@@ -7,45 +7,3 @@ model (:mod:`repro.cluster.power`), and the rack power-capping subsystem
 with warning messages and prioritized throttling
 (:mod:`repro.cluster.capping`).
 """
-
-from repro.cluster.frequency import FrequencyPlan, DEFAULT_FREQUENCY_PLAN
-from repro.cluster.power import PowerModel, DEFAULT_POWER_MODEL
-from repro.cluster.topology import Core, Datacenter, Rack, Server, VirtualMachine
-from repro.cluster.containers import Container, ContainerHost
-from repro.cluster.gpu import GPU_FREQUENCY_PLAN, GPU_POWER_MODEL
-from repro.cluster.placement import (
-    PlacementError,
-    PowerAwarePlacer,
-    ResourceCentricPlacer,
-)
-from repro.cluster.capping import (
-    CapEvent,
-    FairShareThrottler,
-    RackPowerManager,
-    PrioritizedThrottler,
-    WarningMessage,
-)
-
-__all__ = [
-    "FrequencyPlan",
-    "DEFAULT_FREQUENCY_PLAN",
-    "PowerModel",
-    "DEFAULT_POWER_MODEL",
-    "Core",
-    "Datacenter",
-    "Rack",
-    "Server",
-    "VirtualMachine",
-    "Container",
-    "ContainerHost",
-    "GPU_FREQUENCY_PLAN",
-    "GPU_POWER_MODEL",
-    "PlacementError",
-    "PowerAwarePlacer",
-    "ResourceCentricPlacer",
-    "CapEvent",
-    "FairShareThrottler",
-    "RackPowerManager",
-    "PrioritizedThrottler",
-    "WarningMessage",
-]

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.cluster.topology import Rack, Server, VirtualMachine
+from repro.sim.fold import left_sum
 
 __all__ = ["WarningMessage", "CapEvent", "PrioritizedThrottler",
            "FairShareThrottler", "RackPowerManager"]
@@ -105,7 +106,8 @@ class PrioritizedThrottler:
         for vm, _ in vms:
             if vm.vm_id in noc_before and vm.vm_id in touched:
                 penalties.append(noc_before[vm.vm_id] - vm.freq_ghz)
-        mean_penalty = sum(penalties) / len(penalties) if penalties else 0.0
+        mean_penalty = (left_sum(penalties) / len(penalties)
+                        if penalties else 0.0)
         return len(touched), mean_penalty
 
     def _phase(self, rack: Rack, vms: list[tuple[VirtualMachine, Server]],
@@ -182,7 +184,8 @@ class FairShareThrottler(PrioritizedThrottler):
                      for server in rack.servers
                      for vm in server.vms.values()
                      if vm.vm_id in noc_before and vm.vm_id in touched]
-        mean_penalty = sum(penalties) / len(penalties) if penalties else 0.0
+        mean_penalty = (left_sum(penalties) / len(penalties)
+                        if penalties else 0.0)
         return len(touched), mean_penalty
 
 

@@ -15,57 +15,3 @@ A distributed overclocking-management platform (paper §IV) built from:
   (:mod:`repro.core.platform`);
 * the §V-B comparison policies (:mod:`repro.core.policies`).
 """
-
-from repro.core.config import SmartOClockConfig
-from repro.core.types import (
-    AdmissionDecision,
-    ExhaustionKind,
-    ExhaustionSignal,
-    OverclockRequest,
-    RejectionReason,
-    RequestKind,
-    ServerProfileReport,
-)
-from repro.core.budgets import compute_heterogeneous_budgets, BudgetAssignment
-from repro.core.enforcement import FeedbackLoop
-from repro.core.exploration import ExplorationController, ExplorationPhase
-from repro.core.soa import ServerOverclockingAgent
-from repro.core.goa import GlobalOverclockingAgent
-from repro.core.workload_intelligence import (
-    GlobalWIAgent,
-    LocalWIAgent,
-    MetricsTriggerPolicy,
-    OverclockSchedule,
-)
-from repro.core.platform import SmartOClockPlatform
-from repro.core.threshold_inference import (
-    InferredThresholds,
-    estimate_overclock_impact,
-    infer_trigger_policy,
-)
-
-__all__ = [
-    "SmartOClockConfig",
-    "RequestKind",
-    "OverclockRequest",
-    "AdmissionDecision",
-    "RejectionReason",
-    "ExhaustionKind",
-    "ExhaustionSignal",
-    "ServerProfileReport",
-    "compute_heterogeneous_budgets",
-    "BudgetAssignment",
-    "FeedbackLoop",
-    "ExplorationController",
-    "ExplorationPhase",
-    "ServerOverclockingAgent",
-    "GlobalOverclockingAgent",
-    "MetricsTriggerPolicy",
-    "OverclockSchedule",
-    "LocalWIAgent",
-    "GlobalWIAgent",
-    "SmartOClockPlatform",
-    "InferredThresholds",
-    "estimate_overclock_impact",
-    "infer_trigger_policy",
-]

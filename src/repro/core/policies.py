@@ -258,24 +258,38 @@ class RackWeekView:
     def n_ticks(self) -> int:
         return len(self.indices)
 
+    def boost(self, rows: "int | slice", granted: np.ndarray,
+              enforcement: Optional[np.ndarray]
+              ) -> tuple[np.ndarray, np.ndarray, Any]:
+        """What tick ``rows`` (one row, or a slice of them) draw under the
+        engine's enforcement semantics: each server's full overclock
+        power for its ``granted`` cores, the part of it local enforcement
+        allows (all of it when ``enforcement`` is None), and the rack
+        total (oracle baseline plus allowed boost) per tick.  The
+        engine's blocks and the stateful policies' plans both call this,
+        so a plan's cap test is the engine's, bit for bit."""
+        oracle = self.oracle_power[rows]
+        raw = granted * self.delta_full_watts * self.oracle_util[rows]
+        allowed = raw if enforcement is None else np.minimum(
+            np.maximum(enforcement - oracle, 0.0), raw)
+        return raw, allowed, np.add.reduce(oracle + allowed, axis=-1)
+
 
 @dataclass
 class SegmentPlan:
     """Pre-computed decisions for ticks ``[start, stop)`` of a week view.
 
     Row ``k`` of ``granted`` must be bitwise what ``decide`` would return
-    at tick ``start + k`` given the policy state at planning time, and
-    ``enforcement`` row ``k`` what ``enforcement_budget_at`` would return
-    (None → no local enforcement).  ``commit(n)`` replays the state
-    mutations of the first ``n`` planned ticks once the engine has
-    actually consumed them; the engine calls it with a non-decreasing
-    prefix length, so it must be idempotent under re-application.
-    Policies only plan ticks whose decisions cannot diverge from the
-    scalar path; the engine independently re-routes every tick that
-    crosses the warning threshold through the scalar fallback unless the
-    policy is warning-inert — globally (``TracePolicy.warning_inert``)
-    or for this plan's span (``warning_inert`` below: the policy asserts
-    its ``on_warning`` hook would be a no-op at every planned tick).
+    at tick ``start + k``, and ``enforcement`` row ``k`` what
+    ``enforcement_budget_at`` would return after that decision (None →
+    no local enforcement), provided no capping event strikes before tick
+    ``start + k``.  The plan applies the policy's ``on_warning`` hook
+    itself at every planned tick whose rack total reaches the warning
+    threshold without capping, so the engine leaves a plan only at a
+    tick that caps; that tick runs through the scalar fallback, hooks
+    included.  ``commit(n)`` sets the policy's state to what the first
+    ``n`` planned ticks leave behind; the engine calls it whenever it
+    stops consuming the plan, at its end or at a capping tick.
     """
 
     start: int
@@ -283,7 +297,6 @@ class SegmentPlan:
     granted: np.ndarray                       # (stop - start, servers)
     enforcement: Optional[np.ndarray] = None  # (stop - start, servers)
     commit: Optional[Callable[[int], None]] = None
-    warning_inert: bool = False
     #: Per-tick oversubscribed headroom (watts) active over the planned
     #: span; row ``k`` must equal ``osub_admitted_at`` at tick
     #: ``start + k``.  None → the policy admits nothing (all baselines).
@@ -300,16 +313,16 @@ class TracePolicy:
     #: per-week state installed by ``begin_week``, mutates nothing
     #: between ticks, and leaves the ``on_warning``/``on_cap`` hooks as
     #: the base no-ops.  The fast path may then serve a whole week from
-    #: one plan.  Stateful policies keep the default ``False`` and plan
-    #: bounded segments that stop before any possibly-diverging tick.
+    #: one plan.  Stateful policies keep the default ``False``; their
+    #: plans end at their first capping tick, whose hooks move the state.
     tick_stateless: ClassVar[bool] = False
 
     #: Declares that ``on_warning`` is the base no-op, so a
     #: warning-threshold crossing changes nothing but the warning
-    #: counter: the fast path may then keep warning ticks inside a
-    #: vectorized segment (counting them in bulk) and only fall back to
-    #: the scalar tick for capping events.  Any subclass overriding
-    #: ``on_warning`` MUST set this back to False.
+    #: counter: the fast path may then plan across a cap's recovery
+    #: ticks, where the scalar path skips the hook that a plan applies
+    #: (a policy whose hook acts runs those ticks scalar).  Any subclass
+    #: overriding ``on_warning`` MUST set this back to False.
     warning_inert: ClassVar[bool] = True
 
     def __init__(self, n_servers: int) -> None:
@@ -327,16 +340,26 @@ class TracePolicy:
         tick-major telemetry.  Returning False opts out: the engine then
         runs every tick of the week through the scalar fallback (always
         correct, just slower), so policies without a fast path keep
-        working unchanged.
+        working unchanged.  A policy must opt out when its plans do not
+        apply its ``on_warning`` (:meth:`_plans_apply_on_warning`).
         """
         return False
+
+    def _plans_apply_on_warning(self) -> bool:
+        """Whether this policy's plans apply its ``on_warning`` hook, as
+        :class:`SegmentPlan` requires.  Plans that apply no hook are
+        right only while ``on_warning`` is the base no-op: a subclass
+        that overrides it runs scalar instead of having its hook skipped."""
+        return type(self).on_warning is TracePolicy.on_warning
 
     def plan_segment(self, view: RackWeekView, start: int,
                      end: int) -> Optional[SegmentPlan]:
         """Plan decisions for a prefix of ticks ``[start, end)``.
 
-        Only called after :meth:`begin_week_fast` returned True.  None
-        (or an empty plan) sends tick ``start`` to the scalar fallback.
+        Only called after :meth:`begin_week_fast` returned True, and
+        for a policy that is not warning-inert only outside a cap's
+        recovery ticks.  None (or an empty plan) sends tick ``start`` to
+        the scalar fallback.
         """
         return None
 
@@ -393,58 +416,68 @@ class CentralOracle(TracePolicy):
     tick_stateless = True
 
     #: Fraction of the headroom the whole demanded delta must fit under
-    #: for the planner to predict a grant-everything outcome.  The 0.1 %
-    #: slack provably absorbs the rounding drift of the scalar loop's
-    #: sequential headroom subtraction (error ~n·ε·headroom ≪ margin),
-    #: so planned ticks cannot diverge from ``decide``.
+    #: for the planner to predict a grant-everything outcome without
+    #: packing.  The 0.1 % slack provably absorbs the rounding drift of
+    #: the packing's sequential headroom subtraction (error
+    #: ~n·ε·headroom ≪ margin); every other tick with headroom is packed.
     _FIT_MARGIN: ClassVar[float] = 0.999
 
-    _fast_zero: np.ndarray
-    _fast_covered: np.ndarray
-
     def begin_week_fast(self, view: RackWeekView) -> bool:
-        expected = view.delta_full_watts * np.maximum(view.oracle_util, 0.01)
-        headroom = view.limit_watts - view.oracle_power_sums
-        demand_delta = np.sum(view.demand * expected, axis=1)
+        return self._plans_apply_on_warning()
+
+    def plan_segment(self, view: RackWeekView, start: int,
+                     end: int) -> Optional[SegmentPlan]:
+        sl = slice(start, end)
+        expected = view.delta_full_watts * np.maximum(view.oracle_util[sl],
+                                                      0.01)
+        headroom = view.limit_watts - view.oracle_power_sums[sl]
+        demand = view.demand[sl]
         zero = headroom <= 0.0
         # Round-robin grants everything iff the total demanded delta fits
         # the headroom: before any single grant the remaining headroom is
         # at least (1 - _FIT_MARGIN)·headroom plus that grant's own delta.
-        grant_all = ~zero & (demand_delta <= self._FIT_MARGIN * headroom)
-        self._fast_zero = zero
-        self._fast_covered = zero | grant_all
-        return True
-
-    def plan_segment(self, view: RackWeekView, start: int,
-                     end: int) -> Optional[SegmentPlan]:
-        covered = self._fast_covered[start:end]
-        miss = np.flatnonzero(~covered)
-        stop = start + (int(miss[0]) if len(miss) else len(covered))
-        if stop == start:
-            return None  # tick needs the real round-robin packing
-        granted = np.where(self._fast_zero[start:stop, None],
-                           np.int64(0), view.demand[start:stop])
-        return SegmentPlan(start, stop, granted)
+        grant_all = ~zero & (np.add.reduce(demand * expected, axis=1)
+                             <= self._FIT_MARGIN * headroom)
+        granted = np.where(zero[:, None], np.int64(0), demand)
+        for k in (~(zero | grant_all)).nonzero()[0].tolist():
+            granted[k] = _round_robin(demand[k].tolist(),
+                                      expected[k].tolist(),
+                                      float(headroom[k]))
+        return SegmentPlan(start, end, granted)
 
     def decide(self, ctx: TickContext) -> np.ndarray:
-        granted = np.zeros(self.n_servers, dtype=np.int64)
-        expected_delta = ctx.delta_full_watts * np.maximum(
-            ctx.oracle_util, 0.01)
-        headroom = ctx.limit_watts - float(np.sum(ctx.oracle_power))
+        headroom = ctx.limit_watts - float(np.add.reduce(ctx.oracle_power))
         if headroom <= 0:
-            return granted
-        demand = ctx.demand_cores.copy()
-        # Round-robin core-by-core so no server starves.
-        progress = True
-        while progress and headroom > 0:
-            progress = False
-            for i in range(self.n_servers):
-                if demand[i] > 0 and expected_delta[i] <= headroom:
-                    granted[i] += 1
-                    demand[i] -= 1
-                    headroom -= expected_delta[i]
-                    progress = True
-        return granted
+            return np.zeros(self.n_servers, dtype=np.int64)
+        expected = ctx.delta_full_watts * np.maximum(ctx.oracle_util, 0.01)
+        return np.array(_round_robin(ctx.demand_cores.tolist(),
+                                     expected.tolist(), headroom),
+                        dtype=np.int64)
+
+
+def _round_robin(demand: list[int], delta: list[float],
+                 headroom: float) -> list[int]:
+    """Central's packing: grant one core per server per round, in server
+    order, while the server's expected delta fits the remaining headroom.
+
+    Headroom only falls, so a server that does not fit once never fits
+    again that tick, and one whose demand is met has nothing left to
+    take: each round visits only the servers still in play.  The
+    comparisons and subtractions are the IEEE double ones of a loop over
+    NumPy scalars, in the same order, so the grants are bit-identical.
+    """
+    granted = [0] * len(demand)
+    active = [i for i, d in enumerate(demand) if d > 0]
+    while active and headroom > 0:
+        still = []
+        for i in active:
+            if delta[i] <= headroom:
+                granted[i] += 1
+                headroom -= delta[i]
+                if granted[i] < demand[i]:
+                    still.append(i)
+        active = still
+    return granted
 
 
 class NaiveOClock(TracePolicy):
@@ -458,7 +491,7 @@ class NaiveOClock(TracePolicy):
         return ctx.demand_cores.copy()
 
     def begin_week_fast(self, view: RackWeekView) -> bool:
-        return True
+        return self._plans_apply_on_warning()
 
     def plan_segment(self, view: RackWeekView, start: int,
                      end: int) -> Optional[SegmentPlan]:
@@ -531,21 +564,23 @@ class NoFeedback(TracePolicy):
         return self._effective_budget(ctx)
 
     def decide(self, ctx: TickContext) -> np.ndarray:
-        return self._decide_with(ctx, self._predicted_power(ctx),
-                                 self._effective_budget(ctx))
+        expected = ctx.delta_full_watts * np.maximum(ctx.observed_util, 0.05)
+        return self._decide_with(expected, self._predicted_power(ctx),
+                                 self._effective_budget(ctx),
+                                 ctx.demand_cores)
 
-    def _decide_with(self, ctx: TickContext, predicted: np.ndarray,
-                     budget: np.ndarray) -> np.ndarray:
-        """The budget→grant kernel, with prediction and budget supplied
-        by the caller (per-tick lookups or fast-path pre-computation)."""
-        expected_delta = ctx.delta_full_watts * np.maximum(
-            ctx.observed_util, 0.05)
-        slack = budget - predicted
-        max_cores = np.floor(slack / expected_delta).astype(np.int64)
-        return np.clip(max_cores, 0, ctx.demand_cores)
+    def _decide_with(self, expected: np.ndarray, predicted: np.ndarray,
+                     budget: np.ndarray, demand: np.ndarray) -> np.ndarray:
+        """The budget→grant kernel: as many cores as the budget's slack
+        over the predicted draw pays for at the expected per-core delta,
+        within [0, demand].  Elementwise, so a tick's rows (1-D) and a
+        span of ticks (2-D) give the same bits."""
+        max_cores = np.floor((budget - predicted) / expected).astype(np.int64)
+        return np.minimum(np.maximum(max_cores, 0), demand)
 
     def begin_week_fast(self, view: RackWeekView) -> bool:
-        if self._budgets is None or self._history is None:
+        if self._budgets is None or self._history is None \
+                or not self._plans_apply_on_warning():
             return False
         predicted = self._history.predictions(self.template_kind, view.times)
         slots = ((view.times % (7 * 86400.0))
@@ -562,9 +597,8 @@ class NoFeedback(TracePolicy):
         if pre is None:
             return None
         sl = slice(start, end)
-        slack = pre.budget[sl] - pre.predicted[sl]
-        max_cores = np.floor(slack / pre.expected[sl]).astype(np.int64)
-        granted = np.clip(max_cores, 0, view.demand[sl])
+        granted = self._decide_with(pre.expected[sl], pre.predicted[sl],
+                                    pre.budget[sl], view.demand[sl])
         return SegmentPlan(start, end, granted, enforcement=pre.budget[sl])
 
     def fast_decide(self, view: RackWeekView, rel: int,
@@ -572,7 +606,8 @@ class NoFeedback(TracePolicy):
         pre = self._fast
         if pre is None:
             return self.decide(ctx)
-        return self._decide_with(ctx, pre.predicted[rel], pre.budget[rel])
+        return self._decide_with(pre.expected[rel], pre.predicted[rel],
+                                 pre.budget[rel], ctx.demand_cores)
 
 
 class NoWarning(NoFeedback):
@@ -586,6 +621,12 @@ class NoWarning(NoFeedback):
 
     name = "NoWarning"
     tick_stateless = False  # ``extra``/back-off state carries across ticks
+
+    #: Ticks a plan tests at once for inertness when it starts and after
+    #: its recurrence steps; the span doubles while it stays inert.  A
+    #: state that moves every few ticks would otherwise pay for testing
+    #: the rest of the window after every step.
+    _FIRST_SPAN: ClassVar[int] = 4
 
     def __init__(self, n_servers: int, *,
                  explore_step_watts: float = 20.0,
@@ -607,30 +648,24 @@ class NoWarning(NoFeedback):
     def _effective_budget(self, ctx: TickContext) -> np.ndarray:
         return super()._effective_budget(ctx) + self.extra
 
-    def _ramp(self, ctx: TickContext, granted: np.ndarray,
-              allowed: np.ndarray) -> None:
+    def _ramp(self, expected: np.ndarray, demand: np.ndarray,
+              granted: np.ndarray, allowed: np.ndarray) -> bool:
         """Raise the overlay of constrained servers by up to the per-tick
-        ramp, but no more than the unmet demand actually needs."""
-        expected_delta = ctx.delta_full_watts * np.maximum(
-            ctx.observed_util, 0.05)
-        unmet = (ctx.demand_cores - granted).astype(float)
-        need = unmet * expected_delta + self.explore_step_watts
-        grow = allowed & (unmet > 0)
+        ramp, but no more than the unmet demand actually needs; returns
+        whether any overlay rose."""
+        grow = allowed & (demand > granted)
+        if not np.logical_or.reduce(grow):
+            return False
+        need = (demand - granted).astype(float) * expected \
+            + self.explore_step_watts
         self.extra[grow] += np.minimum(need[grow], self.max_ramp_watts)
+        return True
 
     def decide(self, ctx: TickContext) -> np.ndarray:
         granted = super().decide(ctx)
-        return self._after_decide(ctx, granted)
-
-    def _after_decide(self, ctx: TickContext,
-                      granted: np.ndarray) -> np.ndarray:
-        """Exploration state updates run after the budget→grant kernel
-        (shared by the per-tick and fast-fallback decision paths)."""
-        allowed = ctx.index >= self._backoff_until
-        self._ramp(ctx, granted, allowed)
-        # A cap-free exploration that met its demand resets the back-off.
-        satisfied = (ctx.demand_cores > 0) & (granted >= ctx.demand_cores)
-        self._backoff_current[satisfied] = self.backoff_ticks
+        self._explore(ctx.index, ctx.delta_full_watts * np.maximum(
+            ctx.observed_util, 0.05), ctx.demand_cores, granted,
+            np.add.reduce(ctx.observed_power), ctx.warning_watts)
         return granted
 
     def fast_decide(self, view: RackWeekView, rel: int,
@@ -638,70 +673,146 @@ class NoWarning(NoFeedback):
         pre = self._fast
         if pre is None:
             return self.decide(ctx)
-        granted = self._decide_with(ctx, pre.predicted[rel],
-                                    pre.budget[rel] + self.extra)
-        return self._after_decide(ctx, granted)
+        return self._step(pre, view, rel)[0]
 
-    #: During active exploration the inert prefix is typically a handful
-    #: of ticks; probe that much first and escalate to the caller's full
-    #: window only when the whole probe is inert (the prefix is a prefix
-    #: property, so the escalated result is identical to planning the
-    #: full window directly).
-    _PROBE_TICKS: ClassVar[int] = 16
+    def _step(self, pre: _BudgetPlanState, view: RackWeekView,
+              rel: int) -> tuple[np.ndarray, bool]:
+        """``decide`` for row ``rel`` of the week from the fast path's
+        pre-computation, state update included; also returns whether the
+        exploration state moved beyond the back-off reset."""
+        expected = pre.expected[rel]
+        demand = view.demand[rel]
+        granted = self._decide_with(expected, pre.predicted[rel],
+                                    pre.budget[rel] + self.extra, demand)
+        moved = self._explore(int(view.indices[rel]), expected, demand,
+                              granted, view.observed_power_sums[rel],
+                              view.warning_watts)
+        return granted, moved
+
+    def _explore(self, index: int, expected: np.ndarray, demand: np.ndarray,
+                 granted: np.ndarray, observed_sum: float,
+                 warning_watts: float) -> bool:
+        """Exploration state update after tick ``index``'s grant: the
+        tail of ``decide``, shared by the reference, the scalar fallback
+        and the plans' recurrence.  ``observed_sum`` is the broadcast rack
+        power; only SmartOClock reads it.  Returns whether the state moved
+        beyond the back-off reset."""
+        moved = self._ramp(expected, demand, granted,
+                           index >= self._backoff_until)
+        # A cap-free exploration that met its demand resets the back-off.
+        self._backoff_current[(demand > 0)
+                              & (granted >= demand)] = self.backoff_ticks
+        return moved
+
+    def _warn(self, index: int) -> bool:
+        """What ``on_warning`` changes at tick ``index``, and whether it
+        changed anything: nothing here, capping events are NoWarning's
+        only brake."""
+        return False
+
+    def _plans_apply_on_warning(self) -> bool:
+        # The plans apply ``_warn``: SmartOClock's hook, and a no-op here.
+        return type(self).on_warning in (TracePolicy.on_warning,
+                                         SmartOClockPolicy.on_warning)
+
+    def _explore_state(self) -> tuple[np.ndarray, ...]:
+        """A copy of everything ``_explore`` and the hooks change."""
+        return (self.extra.copy(), self._backoff_until.copy(),
+                self._backoff_current.copy())
+
+    def _set_explore_state(self, state: tuple[np.ndarray, ...]) -> None:
+        self.extra, self._backoff_until, self._backoff_current = state[:3]
 
     def plan_segment(self, view: RackWeekView, start: int,
                      end: int) -> Optional[SegmentPlan]:
+        """Replay the policy's own per-tick recurrence over ``[start,
+        end)``, up to and including the first tick whose rack total
+        exceeds the limit (the engine runs that tick scalar).
+
+        The plan alternates two modes.  *Inert spans*: while no tick
+        would change the state beyond the constant back-off reset
+        (:meth:`_diverging`), ``extra`` holds, so a span's grants,
+        enforcement budgets and rack totals are one NumPy expression; the
+        span doubles while it stays inert.  *Recurrence steps*, from the
+        first tick that diverges or caps on, for as long as the state
+        keeps moving: the tick's grant and state update exactly as
+        ``fast_decide`` computes them (:meth:`_step`), its enforcement
+        budget from the post-ramp ``extra`` that ``_apply_tick`` reads,
+        and the warning hook where its total crosses the threshold.  A
+        capping tick is always a step, so the snapshot taken before it is
+        the state ``commit`` installs when the engine stops there; at the
+        plan's end the policy already holds the state the plan leaves.
+        """
         pre = self._fast
         if pre is None:
             return None
-        for window in (1, self._PROBE_TICKS, end - start):
-            probe_end = min(end, start + window)
-            sl = slice(start, probe_end)
+        limit = view.limit_watts
+        grants: list[np.ndarray] = []
+        budgets: list[np.ndarray] = []
+        before: tuple[np.ndarray, ...] = ()
+        p, span, stepping = start, self._FIRST_SPAN, False
+        while p < end:
+            if stepping:
+                before = self._explore_state()
+                granted, stepping = self._step(pre, view, p)
+                budget = pre.budget[p] + self.extra
+                total = view.boost(p, granted, budget)[2]
+                grants.append(granted[None])
+                budgets.append(budget[None])
+                p += 1
+                if total > limit:
+                    break
+                if total >= view.warning_watts:
+                    stepping = self._warn(int(view.indices[p - 1])) \
+                        or stepping
+                continue
+            q = min(end, p + span)
+            sl = slice(p, q)
             budget = pre.budget[sl] + self.extra
-            slack = budget - pre.predicted[sl]
-            max_cores = np.floor(slack / pre.expected[sl]).astype(np.int64)
-            demand = view.demand[sl]
-            granted = np.clip(max_cores, 0, demand)
-            stop_rel = self._inert_prefix(view, sl, granted, demand)
-            if stop_rel == 0:
-                return None
-            if stop_rel < probe_end - start or probe_end == end:
-                break
-        satisfied_rows = ((demand[:stop_rel] > 0)
-                          & (granted[:stop_rel] >= demand[:stop_rel]))
+            granted = self._decide_with(pre.expected[sl],
+                                        pre.predicted[sl], budget,
+                                        view.demand[sl])
+            totals = view.boost(sl, granted, budget)[2]
+            diverge, reset = self._diverging(view, sl, granted, totals)
+            hits = (diverge | (totals > limit)).nonzero()[0]
+            k = int(hits[0]) if len(hits) else q - p
+            self._backoff_current[np.logical_or.reduce(reset[:k])] = \
+                self.backoff_ticks
+            grants.append(granted[:k])
+            budgets.append(budget[:k])
+            p += k
+            stepping = p < q
+            span = self._FIRST_SPAN if stepping else 2 * span
+        length = p - start
 
         def commit(n: int) -> None:
-            # Replay the only state write of the planned ticks: the
-            # back-off reset of servers whose demand was fully met.  The
-            # write is a constant, so re-applying a grown prefix is safe.
-            hit = np.any(satisfied_rows[:n], axis=0)
-            self._backoff_current[hit] = self.backoff_ticks
+            if n < length:  # stopped at the capping last row
+                self._set_explore_state(before)
 
-        return SegmentPlan(start, start + stop_rel, granted[:stop_rel],
-                           enforcement=budget[:stop_rel], commit=commit)
+        return SegmentPlan(start, p, np.concatenate(grants),
+                           enforcement=np.concatenate(budgets),
+                           commit=commit)
 
-    def _inert_prefix(self, view: RackWeekView, sl: slice,
-                      granted: np.ndarray, demand: np.ndarray) -> int:
-        """Leading planned ticks where ``decide`` would not ramp
-        ``extra`` — i.e. no server is simultaneously unmet and allowed
-        to explore — so its only mutation is the back-off reset that
-        ``commit`` replays."""
-        unmet = demand - granted > 0
-        allowed = view.indices[sl, None] >= self._backoff_until[None, :]
-        diverge = np.any(allowed & unmet, axis=1)
-        hits = np.flatnonzero(diverge)
-        return int(hits[0]) if len(hits) else len(diverge)
+    def _diverging(self, view: RackWeekView, sl: slice, granted: np.ndarray,
+                   totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per planned tick, with the current state held: whether the
+        tick changes the state beyond the back-off reset (some server is
+        unmet and allowed to explore, so ``_ramp`` raises ``extra``), and
+        the (ticks, servers) mask of met demand whose back-off resets."""
+        demand = view.demand[sl]
+        allowed = view.indices[sl, None] >= self._backoff_until
+        return (np.logical_or.reduce(allowed & (demand > granted), axis=1),
+                (demand > 0) & (granted >= demand))
 
-    def _backoff(self, ctx: TickContext, mask: np.ndarray) -> None:
-        self._backoff_until[mask] = (ctx.index
-                                     + self._backoff_current[mask])
+    def _backoff(self, index: int, mask: np.ndarray) -> None:
+        self._backoff_until[mask] = index + self._backoff_current[mask]
         self._backoff_current[mask] = np.minimum(
             self._backoff_current[mask] * 2, 288)
 
     def on_cap(self, ctx: TickContext) -> None:
         exploring = self.extra > 0
         self.extra[:] = 0.0
-        self._backoff(ctx, exploring)
+        self._backoff(ctx.index, exploring)
 
     def begin_week(self, history: WeekHistory) -> None:
         super().begin_week(history)
@@ -727,86 +838,73 @@ class SmartOClockPolicy(NoWarning):
     name = "SmartOClock"
     warning_inert = False  # on_warning shifts explore → exploit state
 
-    def _after_decide(self, ctx: TickContext,
-                      granted: np.ndarray) -> np.ndarray:
-        exploiting = ctx.index < self._exploit_until
-        allowed = (ctx.index >= self._backoff_until) & ~exploiting
+    def _explore(self, index: int, expected: np.ndarray, demand: np.ndarray,
+                 granted: np.ndarray, observed_sum: float,
+                 warning_watts: float) -> bool:
+        exploiting = index < self._exploit_until
+        allowed = (index >= self._backoff_until) & ~exploiting
         # A 5-minute trace tick contains ten 30-second confirmation
         # windows: within a tick, warnings stop the ramp as soon as the
         # rack approaches the warning threshold.  Emulate that sub-tick
         # sequencing by bounding the rack-wide ramp to the distance
         # between the last broadcast rack power and the threshold.
-        rack_room = ctx.warning_watts - float(
-            np.sum(ctx.observed_power) + np.sum(self.extra))
+        rack_room = warning_watts - float(
+            observed_sum + np.add.reduce(self.extra))
         if rack_room <= 0:
-            self.on_warning(ctx)
-            return granted
+            return self._warn(index)
         before = self.extra.copy()
-        self._ramp(ctx, granted, allowed)
-        added = self.extra - before
-        total_added = float(np.sum(added))
-        if total_added > rack_room:
-            self.extra = before + added * (rack_room / total_added)
+        moved = self._ramp(expected, demand, granted, allowed)
+        if moved:
+            added = self.extra - before
+            total_added = float(np.add.reduce(added))
+            if total_added > rack_room:
+                self.extra = before + added * (rack_room / total_added)
         # A warning-free exploration that met its demand resets the
         # back-off (the paper resets it after a successful exploration).
-        satisfied = (ctx.demand_cores > 0) & (granted >= ctx.demand_cores)
-        self._backoff_current[satisfied] = self.backoff_ticks
-        return granted
+        self._backoff_current[(demand > 0)
+                              & (granted >= demand)] = self.backoff_ticks
+        return moved
 
-    def plan_segment(self, view: RackWeekView, start: int,
-                     end: int) -> Optional[SegmentPlan]:
-        plan = super().plan_segment(view, start, end)
-        if plan is None:
-            return None
-        # on_warning only acts on *exploring* servers (extra > 0 and not
-        # exploiting).  While none exists the hook is a no-op, so
-        # warning ticks may stay vectorized.  With extra fixed over the
-        # planned span (inertness) and tick indices consecutive, that
-        # holds exactly until the earliest exploitation window among
-        # extra-carrying servers expires — a prefix property.
-        carrying = self.extra > 0
-        if not np.any(carrying):
-            plan.warning_inert = True
-            return plan
-        horizon = int(np.min(self._exploit_until[carrying]))
-        h_rel = horizon - int(view.indices[start])
-        if h_rel <= 0:
-            return plan  # a warning could act from the first tick on
-        if start + h_rel >= plan.stop:
-            plan.warning_inert = True
-            return plan
-        # Trim to the warning-inert prefix; the remainder is re-planned
-        # (commit is prefix-idempotent, so reusing it on a shorter span
-        # is safe).
-        return SegmentPlan(start, start + h_rel, plan.granted[:h_rel],
-                           enforcement=(None if plan.enforcement is None
-                                        else plan.enforcement[:h_rel]),
-                           commit=plan.commit, warning_inert=True)
+    def _explore_state(self) -> tuple[np.ndarray, ...]:
+        return super()._explore_state() + (self._exploit_until.copy(),)
 
-    def _inert_prefix(self, view: RackWeekView, sl: slice,
-                      granted: np.ndarray, demand: np.ndarray) -> int:
-        """SmartOClock additionally stops a plan before any tick whose
-        broadcast rack power leaves no room under the warning threshold
-        (``decide`` would call ``on_warning`` there)."""
+    def _set_explore_state(self, state: tuple[np.ndarray, ...]) -> None:
+        super()._set_explore_state(state)
+        self._exploit_until = state[3]
+
+    def _diverging(self, view: RackWeekView, sl: slice, granted: np.ndarray,
+                   totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """SmartOClock skips the ramp, and the back-off reset with it,
+        where the broadcast rack power leaves no room under the warning
+        threshold; and a warning, from that rack room or from the tick's
+        own total, changes the state while some server explores."""
+        demand = view.demand[sl]
         idx = view.indices[sl, None]
-        exploiting = idx < self._exploit_until[None, :]
-        allowed = (idx >= self._backoff_until[None, :]) & ~exploiting
-        unmet = demand - granted > 0
-        rack_room = view.warning_watts - (
-            view.observed_power_sums[sl] + np.sum(self.extra))
-        diverge = np.any(allowed & unmet, axis=1) | (rack_room <= 0)
-        hits = np.flatnonzero(diverge)
-        return int(hits[0]) if len(hits) else len(diverge)
+        exploiting = idx < self._exploit_until
+        allowed = (idx >= self._backoff_until) & ~exploiting
+        roomy = view.warning_watts - (view.observed_power_sums[sl]
+                                      + np.add.reduce(self.extra)) > 0
+        exploring = np.logical_or.reduce((self.extra > 0) & ~exploiting,
+                                         axis=1)
+        ramps = roomy & np.logical_or.reduce(allowed & (demand > granted),
+                                             axis=1)
+        warns = exploring & (~roomy | (totals >= view.warning_watts))
+        return (ramps | warns,
+                (demand > 0) & (granted >= demand) & roomy[:, None])
 
     def on_warning(self, ctx: TickContext) -> None:
-        exploiting = ctx.index < self._exploit_until
+        self._warn(ctx.index)
+
+    def _warn(self, index: int) -> bool:
+        exploiting = index < self._exploit_until
         exploring = (self.extra > 0) & ~exploiting
-        if not np.any(exploring):
-            return
+        if not np.logical_or.reduce(exploring):
+            return False
         self.extra[exploring] = np.maximum(
             0.0, self.extra[exploring] - self.explore_step_watts)
-        self._exploit_until[exploring] = ctx.index + self.exploit_ticks
-        self._backoff(ctx, exploring)
+        self._exploit_until[exploring] = index + self.exploit_ticks
+        self._backoff(index, exploring)
+        return True
 
     def on_cap(self, ctx: TickContext) -> None:
         super().on_cap(ctx)
@@ -876,8 +974,6 @@ class SmartOClockOSub(SmartOClockPolicy):
         plan = super().plan_segment(view, start, end)
         if plan is None or self._admitted_ticks is None:
             return plan
-        # Attach after super(): SmartOClockPolicy may have rebuilt the
-        # plan trimmed to its warning-inert prefix.
         plan.osub_admitted = self._admitted_ticks[plan.start:plan.stop]
         return plan
 

@@ -26,9 +26,9 @@ architecture"):
   segments of decisions
   (:meth:`~repro.core.policies.TracePolicy.plan_segment`), the engine
   computes whole segments with NumPy and scans for the first tick that
-  crosses ``warning_watts`` (or where a stateful policy could diverge);
-  only that tick runs through the scalar tick body, then the engine
-  resumes vectorized.  Results are **bit-identical** to the reference —
+  caps (a plan applies the policy's warning hook itself); only that tick
+  runs through the scalar tick body, then the engine resumes vectorized.
+  Results are **bit-identical** to the reference —
   float accumulation happens in the same per-tick order — and the
   property tests in ``tests/experiments/test_fastpath.py`` enforce it.
 
@@ -47,6 +47,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -78,9 +79,10 @@ __all__ = [
 
 SECONDS_PER_WEEK = 7 * 86400.0
 
-#: Planning window (ticks) for stateful policies.  Tick-stateless
-#: policies plan whole weeks at once; stateful ones re-plan after every
-#: scalar-fallback tick, so the window bounds wasted planning work.
+#: Longest plan (ticks) a stateful policy is asked for.  Its plans end at
+#: their first capping tick anyway; the bound keeps the arrays a plan and
+#: its block hold small, so a quiet week costs no more memory than a
+#: stateless policy's week-long plan.
 _FAST_LOOKAHEAD = 512
 
 #: Policy column order of Table I (also the default for
@@ -162,19 +164,19 @@ def _throttle_cuts(tick_power: np.ndarray, boost_watts: np.ndarray,
     setpoint = (1.0 - CAP_RECOVERY_MARGIN) * limit
     power_no_oc = tick_power - boost_watts
     if fair:
-        total = float(np.sum(tick_power))
+        total = float(np.add.reduce(tick_power))
         required = total - setpoint
         if required <= 0:
             return np.zeros_like(tick_power)
         targets = np.full_like(tick_power, setpoint / len(tick_power))
         raw = np.maximum(0.0, tick_power - targets)
-        raw_total = float(np.sum(raw))
+        raw_total = float(np.add.reduce(raw))
         if raw_total >= required and raw_total > 0:
             cuts = raw * (required / raw_total)
         else:
             cuts = raw + tick_power * ((required - raw_total) / total)
         return np.maximum(0.0, cuts - boost_watts)
-    total = float(np.sum(power_no_oc))
+    total = float(np.add.reduce(power_no_oc))
     required = total - setpoint
     if required <= 0:
         return np.zeros_like(tick_power)
@@ -290,7 +292,13 @@ def _apply_tick(result: RackSimResult, policy: TracePolicy,
     """One tick of the full capping semantics; returns the new recovery
     counter.  Both the reference loop and the fast path's fallback run
     every non-planned tick through this single body, so warning/cap
-    handling cannot diverge between them by construction."""
+    handling cannot diverge between them by construction.
+
+    It calls ufunc methods (``np.add.reduce``, ``np.minimum`` of
+    ``np.maximum``) rather than the ``np.sum``/``np.clip``/``np.average``
+    wrappers: the same operations and bits, without the Python-level
+    dispatch that costs several times the reduction on a rack's row."""
+    add = np.add.reduce
     granted = np.maximum(np.minimum(decided, ctx.demand_cores), 0)
     raw_extra = granted * ctx.delta_full_watts * ctx.oracle_util
     # Local feedback enforcement (§IV-D): an sOA holds its server's
@@ -298,18 +306,15 @@ def _apply_tick(result: RackSimResult, policy: TracePolicy,
     # when the baseline came in above prediction.
     enforcement = policy.enforcement_budget_at(ctx)
     if enforcement is not None:
-        allowed_extra = np.clip(enforcement - ctx.oracle_power,
-                                0.0, raw_extra)
+        allowed_extra = np.minimum(
+            np.maximum(enforcement - ctx.oracle_power, 0.0), raw_extra)
     else:
         allowed_extra = raw_extra
-    np.copyto(ones_buf, 1.0)
-    boost_frac = np.divide(allowed_extra, raw_extra,
-                           out=ones_buf, where=raw_extra > 0)
     tick_power = ctx.oracle_power + allowed_extra
-    total = float(np.sum(tick_power))
+    total = float(add(tick_power))
     result.ticks += 1
-    d = int(np.sum(ctx.demand_cores))
-    g = int(np.sum(granted))
+    d = int(add(ctx.demand_cores))
+    g = int(add(granted))
     result.demanded_core_ticks += d
     result.granted_core_ticks += g
     # Stranded power (headroom the rack never used) and admitted
@@ -341,31 +346,32 @@ def _apply_tick(result: RackSimResult, policy: TracePolicy,
             tick_power, allowed_extra, ctx.limit_watts,
             fair=policy.capping_mode == "fair")
         dynamic = np.maximum(power_no_oc - idle, 1e-6)
-        freq_cut = np.clip(cuts / (2.0 * dynamic), 0.0, 0.5)
+        freq_cut = np.minimum(np.maximum(cuts / (2.0 * dynamic), 0.0), 0.5)
         # A capping event is rack-wide: the hardware response
         # cancels every boost on the rack for the tick (the paper's
         # §III: capping causes 30-50 % degradation and "diminishes
         # the performance benefits").  Throttled servers also run
         # below turbo.
-        result.perf_sum += float(
-            np.sum(ctx.demand_cores * (1.0 - freq_cut)))
+        result.perf_sum += float(add(ctx.demand_cores * (1.0 - freq_cut)))
         # Penalty on non-overclocked VMs (paper Table I): the
         # power-weighted mean frequency cut across bystander
         # servers — power-hungry servers host more active work, so
         # a cut there hurts proportionally more VMs (§III Q4).
         bystanders = granted == 0
-        if np.any(bystanders):
+        if np.logical_or.reduce(bystanders):
             weights = power_no_oc[bystanders]
             result.noc_penalty_sum += float(
-                np.average(freq_cut[bystanders], weights=weights))
+                add(freq_cut[bystanders] * weights) / add(weights))
             result.noc_penalty_events += 1
         return CAP_RECOVERY_TICKS
 
     # Fractional success: a grant the feedback loop held below
     # the full boost delivered only part of the speedup.
-    result.successful_core_ticks += float(
-        np.sum(granted * boost_frac))
-    result.perf_sum += float(np.sum(
+    np.copyto(ones_buf, 1.0)
+    boost_frac = np.divide(allowed_extra, raw_extra,
+                           out=ones_buf, where=raw_extra > 0)
+    result.successful_core_ticks += float(add(granted * boost_frac))
+    result.perf_sum += float(add(
         granted * (1.0 + boost_frac * (ratio - 1.0))
         + (ctx.demand_cores - granted)))
     return 0
@@ -434,55 +440,44 @@ class _Block:
         return self.stop
 
     def d_total(self, a: int, b: int) -> int:
-        return int(np.sum(self.d_arr[a:b]))
+        return int(np.add.reduce(self.d_arr[a:b]))
 
     def g_total(self, a: int, b: int) -> int:
-        return int(np.sum(self.g_arr[a:b]))
+        return int(np.add.reduce(self.g_arr[a:b]))
 
 
 def _build_block(view: RackWeekView, plan: SegmentPlan,
-                 ratio: float, warning_inert: bool) -> _Block:
+                 ratio: float) -> _Block:
     """Vectorize the accounting of one planned segment.
 
     Every elementwise expression mirrors :func:`_apply_tick` on 2-D
     arrays (ticks × servers); row reductions are bit-equal to the 1-D
     sums of the scalar path, so per-tick contributions match bitwise."""
+    add = np.add.reduce
     sl = slice(plan.start, plan.stop)
     demand = view.demand[sl]
     granted = np.maximum(np.minimum(plan.granted, demand), 0)
-    raw_extra = granted * view.delta_full_watts * view.oracle_util[sl]
-    if plan.enforcement is not None:
-        allowed_extra = np.clip(plan.enforcement - view.oracle_power[sl],
-                                0.0, raw_extra)
-    else:
-        allowed_extra = raw_extra
+    raw_extra, allowed_extra, totals = view.boost(sl, granted,
+                                                  plan.enforcement)
     boost_frac = np.divide(allowed_extra, raw_extra,
                            out=np.ones_like(raw_extra),
                            where=raw_extra > 0)
-    tick_power = view.oracle_power[sl] + allowed_extra
-    totals = np.sum(tick_power, axis=1)
-    # Event ticks leave the segment for the scalar fallback.  Capping
-    # always does (on_cap, throttle accounting, recovery); a warning
-    # crossing only needs the fallback when the policy's on_warning hook
-    # does something — warning-inert policies count warnings in bulk via
-    # the prefix sums below and keep those ticks vectorized.
+    # Capping ticks leave the segment for the scalar fallback (on_cap,
+    # throttle accounting, recovery).  The plan applied the warning hook
+    # itself, so warnings are counted in bulk via the prefix sums below.
     warn = totals >= view.warning_watts
-    if warning_inert:
-        events = np.flatnonzero(totals > view.limit_watts).tolist()
-    else:
-        events = np.flatnonzero(warn
-                                | (totals > view.limit_watts)).tolist()
+    events = (totals > view.limit_watts).nonzero()[0].tolist()
     warn_prefix = np.concatenate(
-        ([0], np.cumsum(warn, dtype=np.int64)))
-    succ = np.sum(granted * boost_frac, axis=1)
-    perf = np.sum(granted * (1.0 + boost_frac * (ratio - 1.0))
-                  + (demand - granted), axis=1)
+        ([0], np.add.accumulate(warn, dtype=np.int64)))
+    succ = add(granted * boost_frac, axis=1)
+    perf = add(granted * (1.0 + boost_frac * (ratio - 1.0))
+               + (demand - granted), axis=1)
     stranded = np.maximum(0.0, view.limit_watts - totals)
     admitted_list = (None if plan.osub_admitted is None
                      else plan.osub_admitted.tolist())
-    d_arr = np.sum(demand, axis=1)
+    d_arr = add(demand, axis=1)
     return _Block(start=plan.start, stop=plan.stop,
-                  d_arr=d_arr, g_arr=np.sum(granted, axis=1),
+                  d_arr=d_arr, g_arr=add(granted, axis=1),
                   d_list=d_arr.tolist(), succ_list=succ.tolist(),
                   perf_list=perf.tolist(),
                   stranded_list=stranded.tolist(),
@@ -513,42 +508,33 @@ def _fold(acc: float, values: list, a: int, b: int) -> float:
     """Left-fold ``values[a:b]`` into ``acc`` one element at a time —
     the same addition order as the scalar per-tick loop, so the float
     result is bitwise identical to it."""
-    for k in range(a, b):
-        acc += values[k]
-    return acc
+    return functools.reduce(operator.add, values[a:b], acc)
 
 
 def _consume_block(result: RackSimResult, block: _Block, rel: int,
                    recovery_remaining: int) -> tuple[int, int]:
     """Account planned ticks from ``rel`` until the block ends or an
     event tick is reached (returned ``rel`` points at it).  Recovery
-    ticks are consumed unconditionally — the scalar path skips their
-    warning/cap checks — and committed state mutations are replayed
-    after every chunk, before any fallback tick can observe them."""
-    stop = block.stop
-    while rel < stop:
-        if recovery_remaining > 0:
-            take = min(recovery_remaining, stop - rel)
-            a = rel - block.start
-            b = a + take
-            result.ticks += take
-            result.demanded_core_ticks += block.d_total(a, b)
-            result.granted_core_ticks += block.g_total(a, b)
-            result.perf_sum = _fold(result.perf_sum, block.d_list, a, b)
-            result.stranded_watt_ticks = _fold(
-                result.stranded_watt_ticks, block.stranded_list, a, b)
-            if block.admitted_list is not None:
-                result.osub_admitted_watt_ticks = _fold(
-                    result.osub_admitted_watt_ticks,
-                    block.admitted_list, a, b)
-            recovery_remaining -= take
-            rel += take
-            if block.commit is not None:
-                block.commit(rel - block.start)
-            continue
-        event = block.next_event(rel)
-        if event == rel:
-            break  # caller routes the event tick through _fast_tick
+    ticks come first and are consumed unconditionally — the scalar path
+    skips their warning/cap checks.  The plan's state is committed on
+    return, before any fallback tick can observe it."""
+    if recovery_remaining > 0:
+        take = min(recovery_remaining, block.stop - rel)
+        a = rel - block.start
+        b = a + take
+        result.ticks += take
+        result.demanded_core_ticks += block.d_total(a, b)
+        result.granted_core_ticks += block.g_total(a, b)
+        result.perf_sum = _fold(result.perf_sum, block.d_list, a, b)
+        result.stranded_watt_ticks = _fold(
+            result.stranded_watt_ticks, block.stranded_list, a, b)
+        if block.admitted_list is not None:
+            result.osub_admitted_watt_ticks = _fold(
+                result.osub_admitted_watt_ticks, block.admitted_list, a, b)
+        recovery_remaining -= take
+        rel += take
+    event = block.next_event(rel)
+    if event > rel:
         a = rel - block.start
         b = event - block.start
         result.ticks += event - rel
@@ -564,10 +550,8 @@ def _consume_block(result: RackSimResult, block: _Block, rel: int,
             result.osub_admitted_watt_ticks = _fold(
                 result.osub_admitted_watt_ticks, block.admitted_list, a, b)
         rel = event
-        if block.commit is not None:
-            block.commit(rel - block.start)
-        if rel < stop:
-            break  # stopped at an event tick
+    if block.commit is not None:
+        block.commit(rel - block.start)
     return rel, recovery_remaining
 
 
@@ -575,53 +559,41 @@ def _run_week_fast(view: RackWeekView, policy: TracePolicy,
                    result: RackSimResult, recovery_remaining: int,
                    has_fast: bool, warning_inert: bool,
                    ones_buf: np.ndarray, ratio: float, idle: float) -> int:
+    """One evaluation week through planned blocks and scalar ticks.
+
+    A tick-stateless policy's plan serves the whole week.  A stateful
+    policy's plan ends at its first capping tick (or after
+    ``_FAST_LOOKAHEAD`` ticks), so after that tick runs scalar the
+    engine plans again.  A policy whose warning hook acts is not planned
+    across a cap's recovery ticks (its plans apply the hook themselves,
+    and recovery ticks skip it): those run scalar.
+    """
     n = view.n_ticks
     stateless = policy.tick_stateless
     block: Optional[_Block] = None
     rel = 0
-    # Re-planning after every diverging tick is wasted work during
-    # active exploration phases (the next tick usually diverges too):
-    # after a failed plan, run a geometrically growing number of scalar
-    # ticks before trying again.  Purely a scheduling heuristic — the
-    # scalar fallback is always correct.
-    cooldown = 0
-    next_cooldown = 1
     while rel < n:
-        if block is None or rel >= block.stop:
-            block = None
-            if has_fast and cooldown == 0:
-                end = n if stateless else min(n, rel + _FAST_LOOKAHEAD)
-                plan = policy.plan_segment(view, rel, end)
-                if plan is not None and plan.stop > rel:
-                    block = _build_block(view, plan, ratio,
-                                         warning_inert
-                                         or plan.warning_inert)
-                    next_cooldown = 1
-                else:
-                    cooldown = next_cooldown
-                    next_cooldown = min(next_cooldown * 2, 32)
-            elif cooldown > 0:
-                cooldown -= 1
-        if block is None or rel >= block.stop:
-            recovery_remaining = _fast_tick(
-                view, policy, result, rel, recovery_remaining,
-                ones_buf, ratio, idle)
-            rel += 1
-            if not stateless:
-                block = None  # the fallback tick may have mutated state
-            continue
-        rel, recovery_remaining = _consume_block(
-            result, block, rel, recovery_remaining)
-        if rel < block.stop:
-            # Event tick inside the planned segment: run it scalar
-            # (warning/cap hooks included), then re-plan for stateful
-            # policies whose hook may have shifted state.
-            recovery_remaining = _fast_tick(
-                view, policy, result, rel, recovery_remaining,
-                ones_buf, ratio, idle)
-            rel += 1
-            if not stateless:
+        if block is None and has_fast and (warning_inert
+                                           or recovery_remaining == 0):
+            end = n if stateless else min(n, rel + _FAST_LOOKAHEAD)
+            plan = policy.plan_segment(view, rel, end)
+            if plan is not None and plan.stop > rel:
+                block = _build_block(view, plan, ratio)
+        if block is not None:
+            rel, recovery_remaining = _consume_block(
+                result, block, rel, recovery_remaining)
+            if rel >= block.stop:
                 block = None
+                continue
+        # An event tick inside the block, or a tick no plan covers: run
+        # it scalar (warning/cap hooks included).  A stateful policy's
+        # block ends with it, since the hooks may have moved its state.
+        recovery_remaining = _fast_tick(
+            view, policy, result, rel, recovery_remaining,
+            ones_buf, ratio, idle)
+        rel += 1
+        if block is not None and (not stateless or rel >= block.stop):
+            block = None
     return recovery_remaining
 
 
@@ -643,7 +615,8 @@ def simulate_rack(rack: "RackTrace | RackFrame", policy: TracePolicy, *,
     n_ticks = len(frame.times)
     # Belt and braces: only honor the declaration when on_warning really
     # is the base no-op, so a subclass that overrides the hook without
-    # flipping the flag degrades to correct-but-slower.
+    # flipping the flag is not planned across recovery ticks, where the
+    # scalar path skips the hook its plans apply.
     warning_inert = (policy.warning_inert
                      and type(policy).on_warning is TracePolicy.on_warning)
     recovery_remaining = 0

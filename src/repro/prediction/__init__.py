@@ -7,33 +7,3 @@ weekday 9 AM samples), with separate weekday/weekend templates.  The other
 strategies of Fig. 15 (FlatMed, FlatMax, Weekly, DailyMax) are implemented
 for comparison.
 """
-
-from repro.prediction.templates import (
-    DailyMaxTemplate,
-    DailyMedTemplate,
-    FlatMaxTemplate,
-    FlatMedTemplate,
-    PowerTemplate,
-    TemplateKind,
-    WeeklyTemplate,
-    build_template,
-)
-from repro.prediction.predictor import (
-    PredictionEvaluation,
-    TemplateStore,
-    evaluate_template,
-)
-
-__all__ = [
-    "PowerTemplate",
-    "TemplateKind",
-    "FlatMedTemplate",
-    "FlatMaxTemplate",
-    "WeeklyTemplate",
-    "DailyMedTemplate",
-    "DailyMaxTemplate",
-    "build_template",
-    "TemplateStore",
-    "PredictionEvaluation",
-    "evaluate_template",
-]

@@ -15,21 +15,3 @@ evacuate to surviving same-rack servers:
 * :mod:`repro.recovery.lifecycle` — the per-tick crash / checkpoint /
   restore / evacuation driver.
 """
-
-from repro.recovery.checkpoint import (
-    DurableStore,
-    RestoreReport,
-    SoaCheckpoint,
-)
-from repro.recovery.lifecycle import RecoveryCounters, ServerLifecycleManager
-from repro.recovery.quarantine import QuarantineController, QuarantinePolicy
-
-__all__ = [
-    "DurableStore",
-    "QuarantineController",
-    "QuarantinePolicy",
-    "RecoveryCounters",
-    "RestoreReport",
-    "ServerLifecycleManager",
-    "SoaCheckpoint",
-]

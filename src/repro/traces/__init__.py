@@ -8,29 +8,3 @@ diurnal + weekly repeatability, per-server heterogeneity within a rack,
 statistical multiplexing of heterogeneous services, regional noise levels,
 occasional outlier days, and per-workload overclocking-demand windows.
 """
-
-from repro.traces.schema import RackTrace, ServerTrace, TraceMetadata
-from repro.traces.synthetic import (
-    FleetConfig,
-    RackProfile,
-    SyntheticFleet,
-    generate_fleet,
-    generate_fleet_rack,
-    generate_rack,
-    generate_server_trace,
-    rack_seed_sequence,
-)
-
-__all__ = [
-    "ServerTrace",
-    "RackTrace",
-    "TraceMetadata",
-    "FleetConfig",
-    "RackProfile",
-    "SyntheticFleet",
-    "generate_fleet",
-    "generate_fleet_rack",
-    "generate_rack",
-    "generate_server_trace",
-    "rack_seed_sequence",
-]

@@ -14,48 +14,3 @@ SmartOClock's evaluation exercises three workload classes:
 Load shapes (diurnal, top-of-hour spikes, business-hours plateaus) come
 from :mod:`repro.workloads.loadgen`.
 """
-
-from repro.workloads.loadgen import (
-    BusinessHoursPattern,
-    CompositePattern,
-    ConstantPattern,
-    DiurnalPattern,
-    LoadPattern,
-    NoisyPattern,
-    SpikePattern,
-    TopOfHourPattern,
-    WeekendScaledPattern,
-)
-from repro.workloads.queueing import MMcQueue, QueueSimulator, simulate_mgc
-from repro.workloads.microservices import (
-    MicroserviceSpec,
-    MicroserviceInstance,
-    MicroserviceDeployment,
-    SOCIALNET_SERVICES,
-    socialnet_service,
-)
-from repro.workloads.mltrain import MLTrainJob
-from repro.workloads.webconf import WebConfDeployment, WebConfVM
-
-__all__ = [
-    "LoadPattern",
-    "ConstantPattern",
-    "DiurnalPattern",
-    "BusinessHoursPattern",
-    "TopOfHourPattern",
-    "SpikePattern",
-    "NoisyPattern",
-    "WeekendScaledPattern",
-    "CompositePattern",
-    "MMcQueue",
-    "QueueSimulator",
-    "simulate_mgc",
-    "MicroserviceSpec",
-    "MicroserviceInstance",
-    "MicroserviceDeployment",
-    "SOCIALNET_SERVICES",
-    "socialnet_service",
-    "MLTrainJob",
-    "WebConfDeployment",
-    "WebConfVM",
-]

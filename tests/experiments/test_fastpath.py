@@ -12,10 +12,16 @@ from repro.core.policies import make_policy
 from repro.experiments.largescale import (
     SECONDS_PER_WEEK,
     TABLE1_POLICIES,
+    RackFrame,
+    cluster_class_fleet_configs,
     simulate_rack,
     simulate_rack_reference,
 )
-from repro.traces.synthetic import FleetConfig, generate_fleet
+from repro.traces.synthetic import (
+    FleetConfig,
+    generate_fleet,
+    generate_fleet_rack,
+)
 
 #: Coarser telemetry than the paper's 5-minute default keeps the
 #: property-test sims small without changing any code path.
@@ -53,6 +59,22 @@ def assert_bit_identical(fast, reference):
     assert a == b, {k: (a[k], b[k]) for k in a if a[k] != b[k]}
 
 
+def production_frame(power_class):
+    """One rack of a Table-I power class at the production shape: 28
+    servers, the paper's 300 s ticks, three weeks."""
+    config = cluster_class_fleet_configs(n_racks=1, weeks=3,
+                                         seed=5)[power_class]
+    config = dataclasses.replace(config, servers_per_rack_min=28,
+                                 servers_per_rack_max=28)
+    return RackFrame(generate_fleet_rack(config, 0))
+
+
+@pytest.fixture(scope="class",
+                params=["High-Power", "Medium-Power", "Low-Power"])
+def production_rack(request):
+    return production_frame(request.param)
+
+
 class TestBitIdentical:
     @pytest.mark.parametrize("policy_name", TABLE1_POLICIES)
     def test_all_policies_high_power_rack(self, policy_name):
@@ -79,6 +101,15 @@ class TestBitIdentical:
                                                len(rack.servers)))
         ref = simulate_rack_reference(
             rack, make_policy(policy_name, len(rack.servers)))
+        assert_bit_identical(fast, ref)
+
+    @pytest.mark.parametrize("policy_name", TABLE1_POLICIES
+                             + ("SmartOClock+OSub:aggressive",))
+    def test_production_shape(self, production_rack, policy_name):
+        frame = production_rack
+        assert (frame.n_servers, frame.weeks) == (28, 3)
+        fast = simulate_rack(frame, make_policy(policy_name, 28))
+        ref = simulate_rack_reference(frame, make_policy(policy_name, 28))
         assert_bit_identical(fast, ref)
 
 

@@ -20,6 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.capping import (
+    FairShareThrottler,
+    PrioritizedThrottler,
+    RackPowerManager,
+)
+from repro.cluster.power import DEFAULT_POWER_MODEL
+from repro.cluster.topology import Rack, Server, VirtualMachine
 from repro.experiments.chaos import ChaosConfig, chaos_trial
 from repro.experiments.cluster import ClusterConfig, run_environment
 from repro.sim.fold import MIN_CLOSED_FORM_RUN, left_sum, repeat_add
@@ -204,3 +211,44 @@ class TestPlatformIgnoresSum:
         assert patched == expected
         assert bits(patched.peak_rack_power_fraction) \
             == bits(expected.peak_rack_power_fraction)
+
+
+def cap_penalties(throttler) -> list[float]:
+    """``noc_penalty_ghz`` of every cap event on a 5 x 5-VM rack whose
+    load alternates between idle and a spread of busy levels with some
+    VMs overclocked, so each event throttles VMs by different depths."""
+    rack = Rack("r", 1.0)
+    vms = []
+    for s in range(5):
+        server = Server(f"s{s}", DEFAULT_POWER_MODEL)
+        for v in range(5):
+            vm = VirtualMachine(4 + 2 * v, utilization=0.6,
+                                priority=(s + v) % 3, name=f"vm{s}{v}")
+            server.place_vm(vm)
+            vms.append((vm, server))
+        rack.add_server(server)
+    rack.power_limit_watts = 0.93 * rack.power_watts()
+    manager = RackPowerManager(rack, throttler=throttler)
+    for t in range(40):
+        for k, (vm, server) in enumerate(vms):
+            if t % 2 == 0:
+                vm.set_utilization(0.05)
+                continue
+            vm.set_utilization(0.5 + 0.05 * ((t * 7 + k * 3) % 11))
+            if (t + k) % 3 == 0:
+                server.set_vm_frequency(vm, server.plan.overclock_max_ghz)
+        manager.sample(float(t))
+    return [event.noc_penalty_ghz for event in manager.cap_events]
+
+
+@pytest.mark.parametrize("throttler", [PrioritizedThrottler,
+                                       FairShareThrottler])
+def test_cap_penalties_ignore_sum(throttler, monkeypatch):
+    """Both throttlers average a cap event's bystander penalties with the
+    left fold: the compensated ``sum()`` of CPython >= 3.12 gives the same
+    bits (on these events it would move several means by an ulp)."""
+    expected = cap_penalties(throttler())
+    assert len(expected) == 20
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    patched = cap_penalties(throttler())
+    assert [bits(p) for p in patched] == [bits(p) for p in expected]
